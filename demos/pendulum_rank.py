@@ -9,7 +9,7 @@ pulling back onto the image variety reads the answer in source terms:
 rank drops exactly where the angular velocity and the sine of the pole angle
 both vanish, the upright and hanging rest configurations.
 
-The pull-back Groebner basis is the expensive step; expect about a minute.
+Enumerating the rank-4 minors is the slowest step; expect a few seconds.
 """
 
 from pathlib import Path

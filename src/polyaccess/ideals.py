@@ -97,78 +97,87 @@ def _spoly(f, g):
     return a - b
 
 
+def _autoreduce(polys, order):
+    """The inputs, smallest leading monomial first, each reduced against the
+    ones already kept and made monic; zero remainders are dropped."""
+    key = order.key
+    kept = []
+    reducers = []
+    for g in sorted(polys, key=lambda g: key(g.leading_monomial())):
+        rem = _reduce(g.coeffs, reducers, order)
+        if rem:
+            h = Polynomial(g.vars, rem, order, _clean=False).monic()
+            kept.append(h)
+            reducers.append((h.leading_monomial(), ONE, h.coeffs))
+    return kept
+
+
 def buchberger(gens, order=None):
-    """Reduced monic Groebner basis of the given generators."""
+    """Reduced monic Groebner basis of the given generators.
+
+    Pairs are pruned when they are formed (Gebauer-Moeller update).  A new
+    element h drops each old pair whose lcm lm(h) divides, unless lm(h)
+    forms that same lcm with one of the pair (B-criterion); it keeps one
+    of its own pairs per minimal lcm, none with a coprime leading monomial
+    (M/F and product criteria); and it retires the elements whose leading
+    monomial lm(h) divides.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
     order = order or gens[0].order
-    G = []
-    seen = set()
-    for g in gens:
-        g = g.with_order(order).monic()
-        k = frozenset(g.coeffs.items())
-        if k not in seen:
-            seen.add(k)
-            G.append(g)
     key = order.key
-    pending = set()
-    heap = []
+    G = []  # every element ever added; retired ones stay for the pair indices
+    lms = []
+    active = []  # indices of G still in the basis
+    pairs = []  # heap of (key(lcm), i, j, lcm)
+    reducers = []
 
-    def push_pairs(j):
-        for i in range(j):
-            L = mono_lcm(G[i].leading_monomial(), G[j].leading_monomial())
-            pending.add((i, j))
-            heapq.heappush(heap, (key(L), i, j))
+    def update(h):
+        nonlocal active, pairs, reducers
+        k = len(G)
+        hm = h.leading_monomial()
+        G.append(h)
+        lms.append(hm)
+        # coprime pairs still rule out pairs with a multiple of their lcm,
+        # so they are dropped only after the scan
+        candidates = [(mono_lcm(lms[i], hm), i) for i in active]
+        new = []
+        while candidates:
+            L, i = candidates.pop()
+            coprime = not any(mono_gcd(lms[i], hm))
+            if coprime or not (
+                any(mono_divides(L2, L) for L2, _ in candidates)
+                or any(mono_divides(L2, L) for L2, _, _ in new)
+            ):
+                new.append((L, i, coprime))
+        pairs = [
+            (kp, i, j, L)
+            for kp, i, j, L in pairs
+            if not mono_divides(hm, L)
+            or mono_lcm(lms[i], hm) == L
+            or mono_lcm(lms[j], hm) == L
+        ]
+        pairs.extend((key(L), i, k, L) for L, i, coprime in new if not coprime)
+        heapq.heapify(pairs)
+        active = [i for i in active if not mono_divides(hm, lms[i])]
+        active.append(k)
+        reducers = [(lms[i], ONE, G[i].coeffs) for i in active]
 
-    for j in range(len(G)):
-        push_pairs(j)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        mi = G[i].leading_monomial()
-        mj = G[j].leading_monomial()
-        L = mono_lcm(mi, mj)
-        if not any(mono_gcd(mi, mj)):
-            continue  # coprime leading terms: s-poly reduces to zero
-        skip = False
-        for k2 in range(len(G)):
-            if k2 in (i, j):
-                continue
-            if mono_divides(G[k2].leading_monomial(), L):
-                a = (min(i, k2), max(i, k2))
-                b = (min(j, k2), max(j, k2))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = normal_form(_spoly(G[i], G[j]), G)
-        if h.is_zero():
-            continue
-        G.append(h.monic())
-        push_pairs(len(G) - 1)
-    return _reduce_basis(G, order)
+    for g in _autoreduce([g.with_order(order) for g in gens], order):
+        update(g)
+    while pairs:
+        _, i, j, _ = heapq.heappop(pairs)
+        rem = _reduce(_spoly(G[i], G[j]).coeffs, reducers, order)
+        if rem:
+            update(Polynomial(G[i].vars, rem, order, _clean=False).monic())
+    return _interreduce([G[i] for i in active], order)
 
 
-def _reduce_basis(G, order):
+def _interreduce(minimal, order):
+    """Reduced basis from a minimal one: every tail fully reduced against
+    the others, sorted by descending leading monomial."""
     key = order.key
-    # minimal: drop any element whose leading monomial another one divides
-    minimal = []
-    lms = [g.leading_monomial() for g in G]
-    for i, g in enumerate(G):
-        keep = True
-        for j, lm in enumerate(lms):
-            if i == j:
-                continue
-            if mono_divides(lm, lms[i]) and (lms[i] != lm or j < i):
-                keep = False
-                break
-        if keep:
-            minimal.append(g)
-    # reduced: every tail fully reduced against the others
     out = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
@@ -299,7 +308,7 @@ def in_radical(p, ideal):
     up = _lift(ext, [i + 1 for i in range(len(vars))], DEGREVLEX)
     t = Polynomial.variable(ext, 0)
     one = Polynomial.constant(ext, 1)
-    gens = [up(g) for g in ideal.gens]
+    gens = [up(g) for g in ideal.groebner_basis()]
     gens.append(one - t * up(p))
     gb = buchberger(gens, DEGREVLEX)
     return bool(gb) and gb[0].is_constant()

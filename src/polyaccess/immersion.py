@@ -8,7 +8,7 @@ from random import Random
 from typing import NamedTuple
 
 from .errors import ClosureError
-from .ideals import Ideal, ideal_sum, in_radical
+from .ideals import Ideal, _positive_even_halves, ideal_sum, in_radical
 from .poly import DEGREVLEX, Polynomial, VarTable
 from .rationals import ONE, Q
 from .vectorfields import SystemSpec, VectorField, lie_derivative
@@ -303,18 +303,6 @@ def verify_immersion(asys, imm):
     return VerifyResult(True)
 
 
-def _positive_definite(p):
-    """True when p is a positive constant plus positive even terms: such a
-    generator has no real zero at all."""
-    constant = p.coeffs.get(tuple([0] * len(p.vars)))
-    if constant is None or constant <= 0:
-        return False
-    for m, c in p.coeffs.items():
-        if c <= 0 or any(e & 1 for e in m):
-            return False
-    return True
-
-
 class PullBackResult(NamedTuple):
     ideal: object
     empty: bool
@@ -382,8 +370,10 @@ def pull_back_singular(imm, singular, map=None, samples=60, seed=0):
     total = ideal_sum(singular, R)
     if not total.is_proper():
         return PullBackResult(total, True, "algebraic proof", "the sum contains 1")
+    origin = (0,) * len(total.vars)
     for g in total.groebner_basis():
-        if _positive_definite(g):
+        # a positive constant plus positive even terms has no real zero
+        if origin in g.coeffs and _positive_even_halves(g) is not None:
             return PullBackResult(
                 total, True, "algebraic proof",
                 f"generator {g} is positive for every real point",

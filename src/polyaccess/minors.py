@@ -11,6 +11,7 @@ from .poly import Polynomial, exact_div
 from .rationals import ONE, Q
 from .ideals import Ideal
 from .modules import PolySubmodule, _mv_key, _mv_monic, dict_to_field
+from .vectorfields import VectorField
 
 
 class FieldMatrix:
@@ -211,9 +212,9 @@ class GenericRank(NamedTuple):
 def generic_rank(matrix, seed=0, samples=5, span=1000):
     """Exact maximal rank of the matrix over all real points.
 
-    Random integer points give a fast lower bound with a witness; the value
-    is then certified upward by checking that every minor one size larger
-    vanishes identically, escalating when one does not.
+    Random integer points give a fast lower bound with a witness.  Below
+    full size the value is certified as the rank over Q(x), read off a
+    Groebner basis of the column module.
     """
     n, m = matrix.nrows, matrix.ncols
     cap = min(n, m)
@@ -227,29 +228,7 @@ def generic_rank(matrix, seed=0, samples=5, span=1000):
             best = r
             witness = tuple(Q(v) for v in point)
         if best == cap:
-            break
-    rank = best
-    while rank < cap:
-        if _has_nonzero_minor(matrix, rank + 1):
-            rank += 1
-            witness = None if rank > best else witness
-        else:
-            break
-    return GenericRank(rank, witness)
-
-
-def _has_nonzero_minor(matrix, size):
-    n, m = matrix.nrows, matrix.ncols
-    support = [
-        frozenset(i for i in range(n) if not matrix.entries[i][j].is_zero())
-        for j in range(m)
-    ]
-    for rows in combinations(range(n), size):
-        rowset = frozenset(rows)
-        usable = [j for j in range(m) if support[j] & rowset]
-        if len(usable) < size:
-            continue
-        for cols in combinations(usable, size):
-            if not determinant(matrix.submatrix(rows, cols)).is_zero():
-                return True
-    return False
+            return GenericRank(best, witness)
+    columns = [VectorField(matrix.column(j), label) for j, label in enumerate(matrix.labels)]
+    rank = PolySubmodule(matrix.vars, n, columns, matrix.entries[0][0].order).rank()
+    return GenericRank(rank, witness if rank == best else None)

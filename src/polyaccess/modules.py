@@ -251,6 +251,14 @@ class PolySubmodule:
     def member(self, vec):
         return not self.normal_form(vec)
 
+    def rank(self):
+        """Rank over Q(x): the number of distinct leading positions in the
+        position-over-term basis.  The basis elements led in position p
+        project onto a nonzero ideal of Q[x] in coordinate p, and each such
+        coordinate adds one to the rank."""
+        keyf = _mv_key(self.order)
+        return len({_mv_lt(d, keyf)[0][0] for d in self._basis()})
+
     def equals(self, other):
         if self.vars != other.vars or self.dim != other.dim:
             return False

@@ -212,7 +212,7 @@ def test_criterion_06_pendulum_rank_locus():
     assert "z4" in names and "z5" in names
     hull = ideal_sum(ideal_of(V, "z4", "z5"), imm.map.relation_ideal())
     assert all(hull.member(g) for g in pulled.ideal.groebner_basis())
-    assert time.monotonic() - start < 600.0
+    assert time.monotonic() - start < 60.0
 
 
 def test_criterion_07_bound_dominates_exact_index():

@@ -4,6 +4,9 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.orderings import ProductOrder, grevlex
 
 from polyaccess import (
     Ideal,
@@ -21,6 +24,8 @@ from polyaccess import (
     radical_monomial,
     real_radical_restricted,
 )
+from polyaccess.ideals import buchberger
+from polyaccess.poly import DEGLEX, DEGREVLEX, LEX, BlockOrder
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -99,6 +104,59 @@ class TestGroebner:
         """is_proper detects when 1 is a member."""
         assert not ideal(("x1", "x1 - 1")).is_proper()
         assert ideal(("x1", "x2")).is_proper()
+
+
+# (our order, sympy's order) pairs; BlockOrder(1) is degrevlex on x1, then
+# degrevlex on the remaining variables
+ORDERS = (
+    (DEGREVLEX, "grevlex"),
+    (DEGLEX, "grlex"),
+    (LEX, "lex"),
+    (BlockOrder(1),
+     ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))),
+)
+
+
+@st.composite
+def generator_lists(draw):
+    """Random 2-4-variable ideals as lists of {monomial: coefficient}, with
+    a duplicate, a constant or a coprime pure power thrown in at times."""
+    n = draw(st.integers(2, 4))
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    poly = st.dictionaries(mono, st.integers(-5, 5).filter(bool), min_size=1, max_size=3)
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    extra = draw(st.sampled_from(("none", "duplicate", "constant", "coprime")))
+    if extra == "duplicate":
+        gens.append({m: 3 * c for m, c in gens[0].items()})
+        gens.append(dict(gens[-1]))
+    elif extra == "constant":
+        gens.append({(0,) * n: draw(st.integers(1, 5))})
+    elif extra == "coprime":
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+            gens.append({tuple(3 if k == i else 0 for k in range(n)): 1})
+    return n, gens
+
+
+class TestBuchbergerOracle:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(generator_lists(), st.sampled_from(ORDERS))
+    def test_reduced_basis_matches_sympy(self, case, orders):
+        """The reduced basis equals sympy's under every supported order."""
+        n, gens = case
+        ours_order, sympy_order = orders
+        V = VarTable(tuple(f"x{i + 1}" for i in range(n)))
+        polys = [Polynomial(V, {m: Q(c) for m, c in g.items()}, ours_order)
+                 for g in gens]
+        ours = {frozenset(g.coeffs.items()) for g in buchberger(polys, ours_order)}
+        syms = sympy.symbols(" ".join(V.names))
+        exprs = [sum(c * sympy.prod(s ** e for s, e in zip(syms, m))
+                     for m, c in g.items()) for g in gens]
+        G = sympy.groebner(exprs, *syms, order=sympy_order, domain=sympy.QQ)
+        theirs = {
+            frozenset((m, Q(int(c.p), int(c.q))) for m, c in g.terms())
+            for g in G.polys if not g.is_zero
+        }
+        assert ours == theirs
 
 
 class TestIdealOps:

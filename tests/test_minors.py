@@ -1,9 +1,12 @@
 """Matrices of polynomial columns: minors, ranks, column reduction."""
 
 import random
+from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaccess import (
     Ideal,
@@ -30,6 +33,16 @@ def p(text, vars=V2):
 
 def vf(texts, label, vars=V2):
     return VectorField([p(t, vars) for t in texts], label)
+
+
+def random_poly(rng, max_deg=2, terms=2):
+    acc = Polynomial.zero(V2)
+    for _ in range(terms):
+        mono = [0, 0]
+        for _ in range(rng.randint(0, max_deg)):
+            mono[rng.randrange(2)] += 1
+        acc = acc + Polynomial.from_terms(V2, [(Q(rng.randint(-3, 3)), tuple(mono))])
+    return acc
 
 
 def planar_columns():
@@ -141,6 +154,39 @@ class TestGenericRank:
                 vf(("x1^2", "x1*x2"), "u")]
         res = generic_rank(build_matrix(cols))
         assert res.rank == 1
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_rank_matches_minors(self, n, m, k, seed):
+        """The certified rank equals the minor rank: some r x r minor is
+        nonzero and every (r+1) x (r+1) minor vanishes.  The columns are
+        polynomial combinations of k random vectors, so whenever k is below
+        min(n, m) the matrix is rank-deficient."""
+        rng = random.Random(seed)
+        base = [[random_poly(rng, terms=rng.randint(1, 2)) for _ in range(n)]
+                for _ in range(k)]
+        cols = []
+        for j in range(m):
+            comps = [Polynomial.zero(V2)] * n
+            for b in base:
+                f = random_poly(rng, max_deg=1)
+                comps = [c + f * e for c, e in zip(comps, b)]
+            cols.append(VectorField(comps, f"c{j}"))
+        M = build_matrix(cols)
+
+        def some_minor_nonzero(r):
+            return r == 0 or any(
+                not determinant(M.submatrix(rows, cs)).is_zero()
+                for rows in combinations(range(n), r)
+                for cs in combinations(range(m), r))
+
+        r = min(n, m)
+        while not some_minor_nonzero(r):
+            r -= 1
+        assert generic_rank(M).rank == r
+        # no samples: the rank comes from the column module alone
+        assert generic_rank(M, samples=0).rank == r
 
     def test_seed_stability(self):
         """The certified rank does not depend on the seed."""
