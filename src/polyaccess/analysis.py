@@ -313,7 +313,7 @@ def bound_analysis(system, mode="accessibility", max_depth=None, seed=0):
     n = system.dimension
     chain = stabilize_chain(system, mode, max_depth)
     M = build_matrix(chain.columns)
-    gr = generic_rank(M, seed=seed)
+    gr = generic_rank(M, seed=seed, module=chain.module)
     verdict = VERDICT_GENERIC if gr.rank == n else VERDICT_NOWHERE
     singular = minor_ideal(M, n) if gr.rank == n else Ideal(system.vars, ())
     trace = []
@@ -354,7 +354,7 @@ def rank_l_analysis(system, l, mode="accessibility", max_depth=None, seed=0):
         raise ValueError(f"rank threshold {l} outside 1..{n}")
     chain = stabilize_chain(system, mode, max_depth)
     M = build_matrix(chain.columns)
-    gr = generic_rank(M, seed=seed)
+    gr = generic_rank(M, seed=seed, module=chain.module)
     singular = minor_ideal(M, l) if min(M.nrows, M.ncols) >= l else Ideal(system.vars, ())
     trace = [
         ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen))

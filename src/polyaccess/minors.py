@@ -209,12 +209,14 @@ class GenericRank(NamedTuple):
     witness: tuple  # sample point achieving the rank, or None
 
 
-def generic_rank(matrix, seed=0, samples=5, span=1000):
+def generic_rank(matrix, seed=0, samples=5, span=1000, module=None):
     """Exact maximal rank of the matrix over all real points.
 
     Random integer points give a fast lower bound with a witness.  Below
     full size the value is certified as the rank over Q(x), read off a
-    Groebner basis of the column module.
+    Groebner basis of the column module.  A caller that already holds a
+    PolySubmodule spanned by exactly the matrix columns (a ChainResult's
+    module) passes it as module, and its cached basis is used.
     """
     n, m = matrix.nrows, matrix.ncols
     cap = min(n, m)
@@ -229,6 +231,9 @@ def generic_rank(matrix, seed=0, samples=5, span=1000):
             witness = tuple(Q(v) for v in point)
         if best == cap:
             return GenericRank(best, witness)
-    columns = [VectorField(matrix.column(j), label) for j, label in enumerate(matrix.labels)]
-    rank = PolySubmodule(matrix.vars, n, columns, matrix.entries[0][0].order).rank()
+    if module is None:
+        columns = [VectorField(matrix.column(j), label)
+                   for j, label in enumerate(matrix.labels)]
+        module = PolySubmodule(matrix.vars, n, columns, matrix.entries[0][0].order)
+    rank = module.rank()
     return GenericRank(rank, witness if rank == best else None)

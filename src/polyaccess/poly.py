@@ -574,14 +574,14 @@ def _uni_degree(uni):
 
 
 def _uni_scale(uni, poly):
-    return {e: c * poly for e, c in uni.items() if not (c * poly).is_zero()}
+    return _uni_normalize({e: c * poly for e, c in uni.items()})
 
 
 def _uni_normalize(uni):
     return {e: c for e, c in uni.items() if not c.is_zero()}
 
 
-def _pseudo_rem(A, B, vars, order):
+def _pseudo_rem(A, B):
     """Pseudo-remainder of univariate views A by B (in the same variable)."""
     dB = _uni_degree(B)
     lB = B[dB]
@@ -614,14 +614,78 @@ def _pseudo_rem(A, B, vars, order):
 
 
 def poly_gcd(p, q):
-    """Monic gcd via subresultant polynomial remainder sequences."""
+    """Monic gcd of p and q.
+
+    A coprime pair is certified by univariate images (_coprime_by_images)
+    and gets the constant 1 without further algebra.  Every other pair,
+    including those the images cannot decide, goes through the recursive
+    subresultant polynomial remainder sequence, which computes the gcd
+    exactly.
+    """
     if p.is_zero():
         return q.monic() if q else q
     if q.is_zero():
         return p.monic()
     p._check(q)
+    if _coprime_by_images(p, q):
+        return Polynomial.constant(p.vars, 1, p.order)
     g = _gcd_inner(p, q)
     return g.monic()
+
+
+def _coprime_by_images(p, q):
+    """True when gcd(p, q) is provably constant; False when undecided.
+
+    For each variable v that both p and q contain, the variable in slot j
+    (from 0) of every other is set to the integer (j + 1)(j + k + 3), taking
+    the first k < 3 where neither v-leading coefficient vanishes.  A common
+    factor g of v-degree d > 0 has lc_v(g) dividing lc_v(p), so it keeps
+    v-degree d at that point, and its image divides both images of p and q.
+    A constant gcd of the images therefore proves deg_v gcd(p, q) = 0.
+    Every variable of the gcd occurs in both p and q, so when each shared
+    variable is ruled out the gcd is constant.  A leading coefficient that
+    vanishes at every point, or a non-constant image gcd (an unlucky point
+    can create one), decides nothing.
+    """
+    shared = set(p.variables_present()) & set(q.variables_present())
+    points = [[(j + 1) * (j + k + 3) for j in range(len(p.vars))] for k in range(3)]
+    for v in sorted(shared):
+        for point in points:
+            a, b = _image(p, v, point), _image(q, v, point)
+            if a[-1] and b[-1]:
+                break
+        else:
+            return False
+        if _uni_gcd_degree(a, b) > 0:
+            return False
+    return True
+
+
+def _image(p, v, point):
+    """Dense coefficients of p in variable v, constant term first, with every
+    other variable set to its value in point."""
+    image = p.evaluate_partial({j: x for j, x in enumerate(point) if j != v})
+    out = [ZERO] * (p.degree_in(v) + 1)
+    for m, c in image.coeffs.items():
+        out[m[v]] = c
+    return out
+
+
+def _uni_gcd_degree(a, b):
+    """Degree of the gcd of two dense univariate polynomials over Q (lists
+    from _image, leading coefficients nonzero), by Euclid's algorithm."""
+    while b:
+        a = a[:]
+        lb, db = b[-1], len(b) - 1
+        while len(a) > db:
+            f = a.pop() / lb
+            s = len(a) - db
+            for i in range(db):
+                a[s + i] -= f * b[i]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 def _gcd_inner(p, q):
@@ -648,7 +712,7 @@ def _gcd_inner(p, q):
     h = one
     while True:
         delta = _uni_degree(A) - _uni_degree(B)
-        R = _pseudo_rem(A, B, p.vars, p.order)
+        R = _pseudo_rem(A, B)
         if not R:
             break
         if _uni_degree(R) == 0:
@@ -681,11 +745,17 @@ def _poly_list_gcd(polys):
         g = _gcd_inner(g, q) if not q.is_constant() else Polynomial.constant(g.vars, 1, g.order)
     if g.is_constant():
         return Polynomial.constant(g.vars, 1, g.order)
-    return g
+    return g.monic()  # a unit multiple; keeps rational sizes from compounding
 
 
 def squarefree_part(p):
-    """Monic product of the distinct irreducible factors of p (p nonzero)."""
+    """Monic product of the distinct irreducible factors of p (p nonzero).
+
+    p divided by gcd(p, dp/dx_1, ..., dp/dx_n), taken one partial derivative
+    at a time with poly_gcd and stopped at the first constant gcd.  A
+    squarefree p ends on a coprime pair, which poly_gcd certifies from
+    univariate images; a repeated factor is found by the subresultant PRS.
+    """
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial is undefined")
     if p.is_constant():

@@ -218,6 +218,7 @@ def test_criterion_06_pendulum_rank_locus():
 def test_criterion_07_bound_dominates_exact_index():
     """Module-chain bound r-hat >= exact r* on the planar system and at least
     twenty fixed-seed random systems where the exact search completes."""
+    start = time.monotonic()
     planar = load("planar").system
     exact = exact_index_analysis(planar)
     assert stabilize_chain(planar).r_hat >= exact.index_value
@@ -229,7 +230,9 @@ def test_criterion_07_bound_dominates_exact_index():
             continue
         assert stabilize_chain(system).r_hat >= report.index_value
         completed += 1
+    elapsed = time.monotonic() - start
     assert completed >= 20
+    assert elapsed < 20.0
 
 
 def test_criterion_08_planar_depth_bound():

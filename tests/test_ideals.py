@@ -138,7 +138,7 @@ def generator_lists(draw):
 
 
 class TestBuchbergerOracle:
-    @settings(derandomize=True, max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(generator_lists(), st.sampled_from(ORDERS))
     def test_reduced_basis_matches_sympy(self, case, orders):
         """The reduced basis equals sympy's under every supported order."""

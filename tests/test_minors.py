@@ -155,7 +155,7 @@ class TestGenericRank:
         res = generic_rank(build_matrix(cols))
         assert res.rank == 1
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
            st.integers(0, 2**32 - 1))
     def test_rank_matches_minors(self, n, m, k, seed):

@@ -117,6 +117,20 @@ class TestStabilizeChain:
             for f in chain.rounds[k]:
                 assert not prev.member(f)
 
+    def test_module_is_column_span(self):
+        """The stabilized module is spanned by exactly the chain's columns,
+        so generic_rank may read the column rank off it."""
+        systems = [self.planar()]
+        for seed in (0, 2, 5, 6, 8):  # up to ten columns, each under 0.3 s
+            rng = random.Random(seed)
+            systems.append(SystemSpec(V2, random_field(rng, V2, "f"),
+                                      [random_field(rng, V2, "g")]))
+        for sys_ in systems:
+            for mode in ("accessibility", "strong"):
+                chain = stabilize_chain(sys_, mode=mode)
+                span = PolySubmodule(V2, 2, chain.columns)
+                assert span.equals(chain.module)
+
     def test_strong_mode_smaller_start(self):
         """Strong mode seeds without the drift but brackets with it."""
         f = vf(("0", "x2^2 + x3^2 - 1", "0"), "f", V3)

@@ -4,6 +4,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaccess import (
     DEGLEX,
@@ -15,6 +17,7 @@ from polyaccess import (
     VarTable,
     parse_polynomial,
 )
+from polyaccess.poly import _coprime_by_images, poly_gcd, squarefree_part
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -207,3 +210,84 @@ class TestTransport:
         a = p("x1^2*x2", V2)
         b = a.map_vars(V2, [1, 0])
         assert b == p("x2^2*x1", V2)
+
+
+def from_sympy(expr, vars, syms):
+    poly = sympy.Poly(expr, *syms, domain=sympy.QQ)
+    return Polynomial(vars, {m: Q(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
+@st.composite
+def small_polys(draw, n):
+    """Polynomial in n variables: two to four terms, small rational
+    coefficients, exponents up to 2, or up to 1 in three variables: there
+    the subresultant fallback takes over 30 s on some planted pairs with
+    exponents up to 2."""
+    top = 2 if n < 3 else 1
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, top)] * n),
+        st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 3)),
+        min_size=2, max_size=4))
+    return {m: Q(a, b) for m, (a, b) in terms.items()}
+
+
+@st.composite
+def gcd_cases(draw):
+    """(vars, p, q): a pair a, b that is coprime unless by chance, or g*a
+    and g*b with a planted common factor g, repeated in p.  a and b get a
+    constant term, so no monomial divides both."""
+    n = draw(st.integers(1, 3))
+    V = VarTable(tuple(f"x{i + 1}" for i in range(n)))
+    a, b = (Polynomial(V, draw(small_polys(n))) + draw(st.integers(1, 5)) for _ in range(2))
+    kind = draw(st.sampled_from(("coprime", "planted", "repeated")))
+    if kind != "coprime":
+        g = Polynomial(V, draw(small_polys(n)))
+        a, b = g * a, g * b
+        if kind == "repeated":
+            a = g * a
+    return V, a, b
+
+
+class TestGcdOracle:
+    @settings(max_examples=80)
+    @given(gcd_cases())
+    def test_gcd_matches_sympy(self, case):
+        """poly_gcd equals sympy.gcd up to a constant factor."""
+        V, a, b = case
+        syms = sympy.symbols(V.names)
+        expected = sympy.gcd(to_sympy(a, syms), to_sympy(b, syms))
+        assert poly_gcd(a, b) == from_sympy(expected, V, syms).monic()
+
+    @settings(max_examples=60)
+    @given(gcd_cases())
+    def test_squarefree_part_matches_sympy(self, case):
+        """squarefree_part equals sympy.sqf_part up to a constant factor."""
+        V, a, _ = case
+        syms = sympy.symbols(V.names)
+        expected = sympy.sqf_part(to_sympy(a, syms), *syms)
+        assert squarefree_part(a) == from_sympy(expected, V, syms).monic()
+
+    def test_vanished_leading_coefficient(self):
+        """The x1-leading coefficient x2 - 8 of f vanishes at the first
+        image point (x1, x2, x3) = (3, 8, 15).  The next point certifies a
+        coprime pair, and a common factor f, whose image at the first point
+        is the constant 1, is still found."""
+        f, g = p("(x2 - 8)*x1 + 1"), p("x1 + x2")
+        assert _coprime_by_images(f, g)
+        assert poly_gcd(f, g) == p("1")
+        a, b = f * p("x1 + 1"), f * p("x1 + 2")
+        assert not _coprime_by_images(a, b)
+        assert poly_gcd(a, b) == f.monic()
+
+    def test_unlucky_image_point(self):
+        """x1 - x2 and x1 - 2*x2 + 8 agree at x2 = 8, so their images share
+        x1 - 8 though the pair is coprime: the PRS decides."""
+        f, g = p("x1 - x2"), p("x1 - 2*x2 + 8")
+        assert not _coprime_by_images(f, g)
+        assert poly_gcd(f, g) == p("1")
+        assert poly_gcd(f * g, g * g) == g
+
+    def test_no_shared_variable(self):
+        """Polynomials in disjoint variables are coprime."""
+        assert poly_gcd(p("x1^2 - 2"), p("x2*x3 + 1")) == p("1")
+        assert squarefree_part(p("(x1^2 - 2)^2*(x2*x3 + 1)")) == p("(x1^2 - 2)*(x2*x3 + 1)")
