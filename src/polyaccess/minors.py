@@ -3,12 +3,12 @@ column pruning, and certified generic rank."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_left
 from random import Random
 from typing import NamedTuple
 
-from .poly import Polynomial, exact_div
-from .rationals import ONE, Q
+from .poly import Polynomial
+from .rationals import Q
 from .ideals import Ideal
 from .modules import PolySubmodule, _mv_key, _mv_monic, dict_to_field
 from .vectorfields import VectorField
@@ -61,90 +61,84 @@ def build_matrix(columns):
 
 
 def determinant(rows):
-    """Exact determinant of a square array of polynomials."""
-    n = len(rows)
-    if n == 0:
+    """Exact determinant of a square array of polynomials, by the same
+    row-by-row cofactor expansion that minor_ideal uses."""
+    if not rows:
         raise ValueError("empty matrix")
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return _bareiss(rows)
+    first = rows[0][0]
+    minors = {(): Polynomial.constant(first.vars, 1, first.order)}
+    for row in rows:
+        minors = _extend_minors(minors, row)
+    return minors.get(tuple(range(len(rows))), Polynomial.zero(first.vars, first.order))
 
 
-def _bareiss(rows):
-    n = len(rows)
-    M = [list(r) for r in rows]
-    vars = M[0][0].vars
-    order = M[0][0].order
-    one = Polynomial.constant(vars, 1, order)
-    zero = Polynomial.zero(vars, order)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for p in range(k + 1, n):
-                if not M[p][k].is_zero():
-                    M[k], M[p] = M[p], M[k]
-                    sign = -sign
-                    break
+def _extend_minors(minors, row):
+    """Nonzero minors of a row prefix extended by one more row.
+
+    minors maps each column tuple of the prefix to its nonzero k x k minor.
+    Each (k+1) x (k+1) minor is expanded along the new row: the entry in
+    column c times the prefix minor on the other columns, with sign
+    (-1)^(k + pos), pos being the place of c among the sorted columns.
+    """
+    out = {}
+    entries = [(c, e) for c, e in enumerate(row) if e]
+    for sub, d in minors.items():
+        k = len(sub)
+        for c, e in entries:
+            if c in sub:
+                continue
+            pos = bisect_left(sub, c)
+            cols = sub[:pos] + (c,) + sub[pos:]
+            t = e * d
+            acc = out.get(cols)
+            if (k + pos) & 1:
+                out[cols] = -t if acc is None else acc - t
             else:
-                return zero
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                num = pivot * row_i[j] - head * M[k][j]
-                row_i[j] = _exact_quot(num, prev)
-            row_i[k] = zero
-        prev = pivot
-    det = M[n - 1][n - 1]
-    return det if sign > 0 else -det
+                out[cols] = t if acc is None else acc + t
+    return {cols: d for cols, d in out.items() if d}
 
 
-def _exact_quot(num, den):
-    if den.is_constant():
-        c = den.constant_value()
-        if c == ONE:
-            return num
-        return num * (ONE / c)
-    return exact_div(num, den)
+def _leaf_minors(entries, minors, last, size):
+    """Nonzero size x size minors on every row set that extends a prefix
+    ending at row last, in lexicographic order of (rows, cols)."""
+    k = len(next(iter(minors)))
+    if k == size:
+        for cols in sorted(minors):
+            yield minors[cols]
+        return
+    for r in range(last + 1, len(entries) - (size - k) + 1):
+        extended = _extend_minors(minors, entries[r])
+        # a prefix whose minors all vanish has rank below its row count,
+        # so every minor through it vanishes too
+        if extended:
+            yield from _leaf_minors(entries, extended, r, size)
 
 
 def minor_ideal(matrix, size):
-    """Ideal generated by all size x size minors, monic and deduplicated."""
+    """Ideal generated by all size x size minors, monic and deduplicated.
+
+    The minors come from one shared cofactor expansion: row sets are walked
+    in lexicographic order as a tree of row prefixes, and each prefix keeps
+    its nonzero minors, so no minor is computed twice and only one chain of
+    prefixes is held at a time.  Generators are the distinct monic nonzero
+    minors, first occurrence in (rows, cols) lexicographic order, then
+    stably sorted by leading monomial, largest first.
+    """
     n, m = matrix.nrows, matrix.ncols
     if size < 1 or size > min(n, m):
         raise ValueError(f"no {size}x{size} minors in a {n}x{m} matrix")
-    # a column can only contribute rows where it is nonzero
-    support = [
-        frozenset(i for i in range(n) if not matrix.entries[i][j].is_zero())
-        for j in range(m)
-    ]
+    first = matrix.entries[0][0]
+    root = {(): Polynomial.constant(first.vars, 1, first.order)}
     gens = []
     seen = set()
-    for rows in combinations(range(n), size):
-        rowset = frozenset(rows)
-        usable = [j for j in range(m) if support[j] & rowset]
-        if len(usable) < size:
-            continue
-        for cols in combinations(usable, size):
-            d = determinant(matrix.submatrix(rows, cols))
-            if d.is_zero():
-                continue
-            d = d.monic()
-            k = frozenset(d.coeffs.items())
-            if k not in seen:
-                seen.add(k)
-                gens.append(d)
-    key = matrix.entries[0][0].order.key if gens else None
-    if gens:
-        gens.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
+    for d in _leaf_minors(matrix.entries, root, -1, size):
+        d = d.monic()
+        k = frozenset(d.coeffs.items())
+        if k not in seen:
+            seen.add(k)
+            gens.append(d)
+    key = first.order.key
+    gens.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
     return Ideal(matrix.vars, gens)
 
 

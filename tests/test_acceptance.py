@@ -203,6 +203,10 @@ def test_criterion_06_pendulum_rank_locus():
         for column in chain.columns:
             assert chain.module.member(lie_bracket(X, column))
     I4 = minor_ideal(build_matrix(chain.columns), 4)
+    # pinned counts: an enumeration that drops or repeats minors fails here
+    # even when the radical below still matches
+    assert len(I4.gens) == 360
+    assert len(I4.groebner_basis()) == 23
     rr = real_radical_restricted(I4)
     assert not isinstance(rr, Unsupported)
     assert ideal_equal(rr, radical_monomial(ideal_of(V, "z4*z6*z7", "z5*z7")))
@@ -212,7 +216,7 @@ def test_criterion_06_pendulum_rank_locus():
     assert "z4" in names and "z5" in names
     hull = ideal_sum(ideal_of(V, "z4", "z5"), imm.map.relation_ideal())
     assert all(hull.member(g) for g in pulled.ideal.groebner_basis())
-    assert time.monotonic() - start < 60.0
+    assert time.monotonic() - start < 15.0
 
 
 def test_criterion_07_bound_dominates_exact_index():

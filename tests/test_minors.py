@@ -7,6 +7,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.orderings import grevlex
 
 from polyaccess import (
     Ideal,
@@ -55,10 +57,11 @@ def planar_columns():
 
 class TestDeterminant:
     def test_matches_independent_engine(self):
-        """Fraction-free determinants agree with a symbolic engine."""
+        """Cofactor-expansion determinants agree with a symbolic engine, up
+        to 5 x 5, past the 4 x 4 minors of the cart-pole's rank-4 locus."""
         rng = random.Random(61)
         syms = sympy.symbols("x1 x2")
-        for size in (2, 3):
+        for size in (2, 3, 4, 5):
             for _ in range(6):
                 rows = []
                 for _ in range(size):
@@ -76,7 +79,8 @@ class TestDeterminant:
                     [[sympy.sympify(str(e).replace("^", "**")) for e in row]
                      for row in rows])
                 assert sympy.expand(
-                    sympy.sympify(str(ours).replace("^", "**")) - mat.det()) == 0
+                    sympy.sympify(str(ours).replace("^", "**"))
+                    - mat.det(method="berkowitz")) == 0
 
     def test_rational_rows(self):
         """rational_rank matches a symbolic engine on rational matrices."""
@@ -89,7 +93,60 @@ class TestDeterminant:
             assert rational_rank(rows) == mat.rank()
 
 
+@st.composite
+def sparse_matrices(draw):
+    """A minor size k <= 4 and a random n x m matrix over Q[x1, x2],
+    k <= n <= 5 and k <= m <= 7, as rows of {monomial: coefficient}: zero or
+    one or two terms per entry, with a zero row, a zero column or a repeated
+    column thrown in at times."""
+    size = draw(st.integers(1, 4))
+    n = draw(st.integers(size, 5))
+    m = draw(st.integers(size, 7))
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    entry = st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=2)
+    rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    extra = draw(st.sampled_from(("none", "zero row", "zero column", "repeated column")))
+    if extra == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [{}] * m
+    elif extra == "zero column":
+        j = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[j] = {}
+    elif extra == "repeated column" and m > 1:
+        j, k = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        for row in rows:
+            row[k] = row[j]
+    return rows, size
+
+
 class TestMinorIdeal:
+    @settings(max_examples=60)
+    @given(sparse_matrices())
+    def test_minors_match_sympy(self, case):
+        """The generators are exactly the distinct monic nonzero minors that
+        sympy computes, each once and each monic."""
+        rows, size = case
+        n, m = len(rows), len(rows[0])
+        cols = [VectorField([Polynomial(V2, {mo: Q(c) for mo, c in rows[i][j].items()})
+                             for i in range(n)], f"c{j}") for j in range(m)]
+        gens = minor_ideal(build_matrix(cols), size).gens
+        ours = {frozenset(g.coeffs.items()) for g in gens}
+        assert len(ours) == len(gens)
+        assert all(g.leading_coefficient() == 1 for g in gens)
+        R = sympy.QQ[sympy.symbols("x1 x2")]
+        D = DomainMatrix([[R.ring.from_dict(e) for e in row] for row in rows], (n, m), R)
+        theirs = set()
+        for rs in combinations(range(n), size):
+            for cs in combinations(range(m), size):
+                d = D.extract(list(rs), list(cs)).det()
+                if not d:
+                    continue
+                terms = [(mo, Q(int(c.numerator), int(c.denominator)))
+                         for mo, c in d.items()]
+                lc = max(terms, key=lambda t: grevlex(t[0]))[1]
+                theirs.add(frozenset((mo, c / lc) for mo, c in terms))
+        assert ours == theirs
+
     def test_planar_top_minors(self):
         """2x2 minors of the planar depth-1 matrix."""
         M = build_matrix(planar_columns()[:2])
