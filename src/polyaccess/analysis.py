@@ -18,7 +18,7 @@ from .ideals import (
     real_radical_restricted,
 )
 from .minors import build_matrix, generic_rank, minor_ideal, rational_rank, reduce_columns
-from .modules import PolySubmodule, stabilize_chain
+from .modules import stabilize_chain
 from .rationals import Q
 from .vectorfields import BracketFamily, extend_family
 
@@ -318,13 +318,11 @@ def bound_analysis(system, mode="accessibility", max_depth=None, seed=0):
     singular = minor_ideal(M, n) if gr.rank == n else Ideal(system.vars, ())
     trace = []
     for depth, gen in enumerate(chain.rounds):
-        prefix = PolySubmodule(system.vars, n, chain.columns_at(depth),
-                               chain.module.order)
         trace.append(
             ChainRecord(
                 depth=depth,
                 retained_labels=tuple(v.label for v in gen),
-                module_gb_size=len(prefix.groebner_basis()),
+                module_gb_size=chain.basis_sizes[depth],
             )
         )
     kind = INDEX_BOUND_R if mode == "accessibility" else INDEX_BOUND_L

@@ -112,15 +112,51 @@ def _autoreduce(polys, order):
     return kept
 
 
+def pair_update(lms, active, pairs, key, product=True):
+    """Gebauer-Moeller update for the newest element, index len(lms) - 1.
+
+    lms holds the leading monomials of all elements by index, active the
+    elements the new one may pair with, and pairs their heap of pending
+    pairs (key(lcm), i, j, lcm).  The new element h drops each old pair
+    whose lcm lm(h) divides, unless lm(h) forms that same lcm with one of
+    the pair (B-criterion); it keeps one of its own pairs per minimal lcm
+    (M/F criteria), none with a coprime leading monomial if product is set
+    (product criterion); and it retires the elements whose leading monomial
+    lm(h) divides.  Returns the new active list and pair heap.
+    """
+    k = len(lms) - 1
+    hm = lms[k]
+    # coprime pairs still rule out pairs with a multiple of their lcm,
+    # so they are dropped only after the scan
+    candidates = [(mono_lcm(lms[i], hm), i) for i in active]
+    new = []
+    while candidates:
+        L, i = candidates.pop()
+        coprime = product and not any(mono_gcd(lms[i], hm))
+        if coprime or not (
+            any(mono_divides(L2, L) for L2, _ in candidates)
+            or any(mono_divides(L2, L) for L2, _, _ in new)
+        ):
+            new.append((L, i, coprime))
+    pairs = [
+        (kp, i, j, L)
+        for kp, i, j, L in pairs
+        if not mono_divides(hm, L)
+        or mono_lcm(lms[i], hm) == L
+        or mono_lcm(lms[j], hm) == L
+    ]
+    pairs.extend((key(L), i, k, L) for L, i, coprime in new if not coprime)
+    heapq.heapify(pairs)
+    active = [i for i in active if not mono_divides(hm, lms[i])]
+    active.append(k)
+    return active, pairs
+
+
 def buchberger(gens, order=None):
     """Reduced monic Groebner basis of the given generators.
 
-    Pairs are pruned when they are formed (Gebauer-Moeller update).  A new
-    element h drops each old pair whose lcm lm(h) divides, unless lm(h)
-    forms that same lcm with one of the pair (B-criterion); it keeps one
-    of its own pairs per minimal lcm, none with a coprime leading monomial
-    (M/F and product criteria); and it retires the elements whose leading
-    monomial lm(h) divides.
+    The inputs are autoreduced, then every new element prunes the pairs by
+    the Gebauer-Moeller update (pair_update) as it is added.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -133,44 +169,20 @@ def buchberger(gens, order=None):
     pairs = []  # heap of (key(lcm), i, j, lcm)
     reducers = []
 
-    def update(h):
+    def insert(h):
         nonlocal active, pairs, reducers
-        k = len(G)
-        hm = h.leading_monomial()
         G.append(h)
-        lms.append(hm)
-        # coprime pairs still rule out pairs with a multiple of their lcm,
-        # so they are dropped only after the scan
-        candidates = [(mono_lcm(lms[i], hm), i) for i in active]
-        new = []
-        while candidates:
-            L, i = candidates.pop()
-            coprime = not any(mono_gcd(lms[i], hm))
-            if coprime or not (
-                any(mono_divides(L2, L) for L2, _ in candidates)
-                or any(mono_divides(L2, L) for L2, _, _ in new)
-            ):
-                new.append((L, i, coprime))
-        pairs = [
-            (kp, i, j, L)
-            for kp, i, j, L in pairs
-            if not mono_divides(hm, L)
-            or mono_lcm(lms[i], hm) == L
-            or mono_lcm(lms[j], hm) == L
-        ]
-        pairs.extend((key(L), i, k, L) for L, i, coprime in new if not coprime)
-        heapq.heapify(pairs)
-        active = [i for i in active if not mono_divides(hm, lms[i])]
-        active.append(k)
+        lms.append(h.leading_monomial())
+        active, pairs = pair_update(lms, active, pairs, key)
         reducers = [(lms[i], ONE, G[i].coeffs) for i in active]
 
     for g in _autoreduce([g.with_order(order) for g in gens], order):
-        update(g)
+        insert(g)
     while pairs:
         _, i, j, _ = heapq.heappop(pairs)
         rem = _reduce(_spoly(G[i], G[j]).coeffs, reducers, order)
         if rem:
-            update(Polynomial(G[i].vars, rem, order, _clean=False).monic())
+            insert(Polynomial(G[i].vars, rem, order, _clean=False).monic())
     return _interreduce([G[i] for i in active], order)
 
 
@@ -251,7 +263,8 @@ def _gb_signature(gb):
 
 
 def ideal_sum(a, b):
-    return Ideal(a.vars, a.gens + tuple(g.with_order(a.order) for g in b.gens), a.order)
+    """Sum of two ideals, generated by their cached reduced bases."""
+    return Ideal(a.vars, a.groebner_basis() + b.groebner_basis(), a.order)
 
 
 def ideal_equal(a, b):

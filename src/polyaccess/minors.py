@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .poly import Polynomial
 from .rationals import Q
 from .ideals import Ideal
-from .modules import PolySubmodule, _mv_key, _mv_monic, dict_to_field
+from .modules import PolySubmodule, dict_to_field
 from .vectorfields import VectorField
 
 
@@ -156,14 +156,10 @@ def reduce_columns(columns):
     dim = len(columns[0])
     kept = []
     module = PolySubmodule(vars, dim, [], columns[0].components[0].order)
-    keyf = _mv_key(module.order)
     for col in columns:
-        nf = module.normal_form(col)
-        if not nf:
-            continue
-        nf = _mv_monic(nf, keyf)
-        kept.append(dict_to_field(vars, dim, nf, col.label, module.order))
-        module = module.extended([nf])
+        nf, module = module.adjoin(col)
+        if nf:
+            kept.append(dict_to_field(vars, dim, nf, col.label, module.order))
     return tuple(kept)
 
 

@@ -12,8 +12,9 @@ import heapq
 from typing import NamedTuple
 
 from .errors import CapReached
-from .poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
-from .rationals import ONE
+from .ideals import _negkey, pair_update
+from .poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_mul
+from .rationals import ONE, ZERO
 from .vectorfields import VectorField, lie_bracket
 
 
@@ -45,17 +46,7 @@ def _mv_key(order):
 
 def _mv_negkey(order):
     key = order.key
-
-    def negf(term):
-        pos, mono = term
-        k = key(mono)
-        return (pos, _neg(k))
-
-    return negf
-
-
-def _neg(k):
-    return tuple(-x if isinstance(x, int) else _neg(x) for x in k)
+    return lambda term: (term[0], _negkey(key(term[1])))
 
 
 def _mv_lt(d, keyf):
@@ -71,12 +62,13 @@ def _mv_monic(d, keyf):
     return {t: c * inv for t, c in d.items()}
 
 
-def _mv_shift_scale(d, mono, coeff):
-    return {(p, mono_mul(m, mono)): c * coeff for (p, m), c in d.items()}
+def _mv_shift(d, mono):
+    return {(p, mono_mul(m, mono)): c for (p, m), c in d.items()}
 
 
 def _mv_reduce(d, reducers, order):
-    """Normal form of a vector dict modulo reducers [((pos, lm), lc, dict)]."""
+    """Normal form of a vector dict modulo monic reducers, given as
+    {position: [(leading monomial, vector dict)]}."""
     negf = _mv_negkey(order)
     work = dict(d)
     remainder = {}
@@ -84,29 +76,27 @@ def _mv_reduce(d, reducers, order):
     heapq.heapify(heap)
     while heap:
         _, t = heapq.heappop(heap)
-        c = work.get(t)
+        c = work.pop(t, None)
         if c is None:
             continue
-        del work[t]
         pos, mono = t
-        for (rpos, lm), lc, rd in reducers:
-            if rpos == pos and mono_divides(lm, mono):
+        for lm, rd in reducers.get(pos, ()):
+            if mono_divides(lm, mono):
                 break
         else:
             remainder[t] = c
             continue
-        q = c / lc
         shift = mono_div(mono, lm)
         for (bp, bm), bc in rd.items():
-            if bp == rpos and bm == lm:
+            if bp == pos and bm == lm:
                 continue
             tt = (bp, mono_mul(bm, shift))
             v = work.get(tt)
             if v is None:
-                work[tt] = -q * bc
+                work[tt] = -c * bc
                 heapq.heappush(heap, (negf(tt), tt))
             else:
-                v = v - q * bc
+                v = v - c * bc
                 if v:
                     work[tt] = v
                 else:
@@ -115,89 +105,77 @@ def _mv_reduce(d, reducers, order):
 
 
 def _make_mv_reducers(basis, keyf):
-    out = []
+    out = {}
     for d in basis:
-        t, c = _mv_lt(d, keyf)
-        out.append((t, c, d))
+        (pos, lm), _ = _mv_lt(d, keyf)
+        out.setdefault(pos, []).append((lm, d))
     return out
 
 
-def module_buchberger(gens, order=DEGREVLEX):
-    """Reduced monic Groebner basis of a list of vector dicts.
+def module_buchberger(gens, order=DEGREVLEX, basis=()):
+    """Reduced monic Groebner basis of a reduced basis plus more vectors.
 
-    S-pairs only arise between vectors sharing a leading position; the
-    coprime shortcut is not valid for modules, so every pair is reduced.
+    The elements of basis, a reduced Groebner basis (empty for a build from
+    scratch), start in the basis with no pairs among them; the vectors of
+    gens are made monic and inserted.  S-pairs only arise between elements
+    sharing a leading position, and each insertion prunes that position's
+    pairs by ideals.pair_update without the product criterion, which does
+    not hold for vectors.  The pair with the smallest lcm goes first, so
+    the last position's pairs precede the others.
     """
     keyf = _mv_key(order)
-    G = []
-    seen = set()
+    key = order.key
+    G = []  # every element ever added; retired ones stay for the pair indices
+    lms = []
+    active = {}  # position -> indices of G still in the basis
+    pairs = {}  # position -> heap of (key(lcm), i, j, lcm)
+    reducers = {}  # position -> [(lm, element)] of the active elements
+
+    def insert(h):
+        d = _mv_monic(h, keyf)
+        (pos, lm), _ = _mv_lt(d, keyf)
+        G.append(d)
+        lms.append(lm)
+        active[pos], pairs[pos] = pair_update(
+            lms, active.get(pos, []), pairs.get(pos, []), key, product=False)
+        reducers[pos] = [(lms[i], G[i]) for i in active[pos]]
+
+    for d in basis:
+        (pos, lm), _ = _mv_lt(d, keyf)
+        G.append(d)
+        lms.append(lm)
+        active.setdefault(pos, []).append(len(G) - 1)
+        reducers.setdefault(pos, []).append((lm, d))
     for d in gens:
-        if not d:
-            continue
-        d = _mv_monic(d, keyf)
-        k = frozenset(d.items())
-        if k not in seen:
-            seen.add(k)
-            G.append(d)
-    lts = [_mv_lt(d, keyf) for d in G]
-    heap = []
-
-    def push_pairs(j):
-        (pj, mj), _ = lts[j]
-        for i in range(j):
-            (pi, mi), _ = lts[i]
-            if pi == pj:
-                L = mono_lcm(mi, mj)
-                heapq.heappush(heap, ((pi, order.key(L)), i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        (pi, mi), ci = lts[i]
-        (pj, mj), cj = lts[j]
-        L = mono_lcm(mi, mj)
-        a = _mv_shift_scale(G[i], mono_div(L, mi), ONE / ci)
-        b = _mv_shift_scale(G[j], mono_div(L, mj), ONE / cj)
-        s = dict(a)
-        for t, c in b.items():
-            v = s.get(t)
-            if v is None:
-                s[t] = -c
+        if d:
+            insert(d)
+    while True:
+        live = [p for p, heap in pairs.items() if heap]
+        if not live:
+            break
+        pos = max(live)
+        _, i, j, L = heapq.heappop(pairs[pos])
+        s = _mv_shift(G[i], mono_div(L, lms[i]))
+        for t, c in _mv_shift(G[j], mono_div(L, lms[j])).items():
+            v = s.get(t, ZERO) - c
+            if v:
+                s[t] = v
             else:
-                v = v - c
-                if v:
-                    s[t] = v
-                else:
-                    del s[t]
-        h = _mv_reduce(s, _make_mv_reducers(G, keyf), order)
+                del s[t]
+        h = _mv_reduce(s, reducers, order)
         if h:
-            G.append(_mv_monic(h, keyf))
-            lts.append(_mv_lt(G[-1], keyf))
-            push_pairs(len(G) - 1)
-    return _mv_reduce_basis(G, keyf, order)
-
-
-def _mv_reduce_basis(G, keyf, order):
-    lts = [_mv_lt(d, keyf)[0] for d in G]
-    minimal = []
-    for i, d in enumerate(G):
-        (pi, mi) = lts[i]
-        keep = True
-        for j, (pj, mj) in enumerate(lts):
-            if i == j or pi != pj:
-                continue
-            if mono_divides(mj, mi) and (mi != mj or j < i):
-                keep = False
-                break
-        if keep:
-            minimal.append(d)
+            insert(h)
+    # an input may be led by a multiple of another element's leading term,
+    # and is dropped here; a tail term lies below its own leading term, so
+    # reducing the tails against all elements at once reduces each against
+    # the others
     out = []
-    for i, d in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        if others:
-            d = _mv_reduce(d, _make_mv_reducers(others, keyf), order)
-        out.append(_mv_monic(d, keyf))
+    for pos, held in reducers.items():
+        for lm, d in held:
+            if any(m != lm and mono_divides(m, lm) for m, _ in held):
+                continue
+            tail = {t: c for t, c in d.items() if t != (pos, lm)}
+            out.append({(pos, lm): ONE, **_mv_reduce(tail, reducers, order)})
     out.sort(key=lambda d: keyf(_mv_lt(d, keyf)[0]), reverse=True)
     return tuple(out)
 
@@ -213,7 +191,7 @@ def _as_dict(vec):
 class PolySubmodule:
     """Finitely generated submodule of Q[x]^dim with a cached reduced basis."""
 
-    __slots__ = ("vars", "dim", "order", "gens", "_gb", "_reducers")
+    __slots__ = ("vars", "dim", "order", "gens", "_seed", "_gb", "_reducers")
 
     def __init__(self, vars, dim, gens, order=DEGREVLEX):
         self.vars = vars
@@ -225,12 +203,14 @@ class PolySubmodule:
             if d:
                 cleaned.append(d)
         self.gens = tuple(cleaned)
+        self._seed = ()  # the reduced basis that the first gens form, if any
         self._gb = None
         self._reducers = None
 
     def _basis(self):
         if self._gb is None:
-            self._gb = module_buchberger(self.gens, self.order)
+            extra = self.gens[len(self._seed):]
+            self._gb = module_buchberger(extra, self.order, self._seed)
             self._reducers = _make_mv_reducers(self._gb, _mv_key(self.order))
         return self._gb
 
@@ -256,8 +236,8 @@ class PolySubmodule:
         position-over-term basis.  The basis elements led in position p
         project onto a nonzero ideal of Q[x] in coordinate p, and each such
         coordinate adds one to the rank."""
-        keyf = _mv_key(self.order)
-        return len({_mv_lt(d, keyf)[0][0] for d in self._basis()})
+        self._basis()
+        return len(self._reducers)
 
     def equals(self, other):
         if self.vars != other.vars or self.dim != other.dim:
@@ -268,20 +248,25 @@ class PolySubmodule:
         return sig(a) == sig(b)
 
     def extended(self, vectors):
-        """Submodule spanned by this one plus the given vectors."""
+        """Submodule spanned by this one plus the given vectors.  Its basis
+        is built by inserting the vectors into this module's basis."""
+        seed = self._basis()
         extra = tuple(_as_dict(v) for v in vectors)
-        return PolySubmodule(self.vars, self.dim, self._basis() + extra, self.order)
+        out = PolySubmodule(self.vars, self.dim, seed + extra, self.order)
+        out._seed = seed
+        return out
+
+    def adjoin(self, vec):
+        """The monic normal form of vec and the module extended by it, or an
+        empty dict and this module when vec is already a member."""
+        nf = self.normal_form(vec)
+        if not nf:
+            return nf, self
+        nf = _mv_monic(nf, _mv_key(self.order))
+        return nf, self.extended([nf])
 
     def __repr__(self):
         return f"PolySubmodule(dim={self.dim}, gens={len(self.gens)})"
-
-
-def module_member(vec, submodule):
-    return submodule.member(vec)
-
-
-def module_equal(a, b):
-    return a.equals(b)
 
 
 class ChainResult(NamedTuple):
@@ -289,6 +274,7 @@ class ChainResult(NamedTuple):
     r_hat: int
     rounds: tuple  # rounds[k] = retained generator fields of depth k
     module: object  # the stabilized submodule
+    basis_sizes: tuple  # basis_sizes[k] = basis size of the depth-k module
 
     @property
     def columns(self):
@@ -311,7 +297,8 @@ def stabilize_chain(system, mode="accessibility", max_depth=None):
     module combinations split into combinations of the retained brackets and
     of lower-depth generators, so nothing else can enlarge the module.
     Returns the first depth where nothing new appears, the retained
-    generators per depth, and the stabilized module.
+    generators per depth, the stabilized module, and the size of the
+    module's basis at the end of each depth.
     """
     vars = system.vars
     dim = system.dimension
@@ -331,20 +318,19 @@ def stabilize_chain(system, mode="accessibility", max_depth=None):
     ops = system.operators()
     module = PolySubmodule(vars, dim, seeds, seeds[0].components[0].order)
     rounds = [tuple(seeds)]
+    sizes = []
     frontier = list(seeds)
     for depth in range(1, max_depth + 1):
+        sizes.append(len(module._basis()))
         retained = []
         for X in ops:
             for e in frontier:
                 br = lie_bracket(X, e)
-                nf = module.normal_form(br)
+                nf, module = module.adjoin(br)
                 if nf:
-                    nf = _mv_monic(nf, _mv_key(module.order))
-                    field = dict_to_field(vars, dim, nf, br.label, module.order)
-                    retained.append(field)
-                    module = module.extended([nf])
+                    retained.append(dict_to_field(vars, dim, nf, br.label, module.order))
         if not retained:
-            return ChainResult(mode, depth - 1, tuple(rounds), module)
+            return ChainResult(mode, depth - 1, tuple(rounds), module, tuple(sizes))
         rounds.append(tuple(retained))
         frontier = retained
     raise CapReached("module chain", max_depth)

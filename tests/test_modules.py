@@ -2,6 +2,10 @@
 
 import random
 
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from polyaccess import (
     Polynomial,
     PolySubmodule,
@@ -12,6 +16,9 @@ from polyaccess import (
     parse_polynomial,
     stabilize_chain,
 )
+from polyaccess.ideals import buchberger
+from polyaccess.modules import field_to_dict
+from polyaccess.poly import mono_div, mono_divides, mono_lcm
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -85,6 +92,126 @@ class TestPolySubmodule:
         assert not a.member(vf(("x1", "5"), "q"))
 
 
+@st.composite
+def submodules(draw, dims=st.integers(1, 3)):
+    """Random submodules of Q[x1, x2]^d as 1-5 generators, each a list of d
+    {monomial: coefficient} dicts of up to two terms (zero entries and zero
+    vectors included), plus at times a scaled copy of the first."""
+    d = draw(dims)
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    poly = st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=2)
+    gens = draw(st.lists(st.lists(poly, min_size=d, max_size=d), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        gens.append([{m: 2 * c for m, c in comp.items()} for comp in gens[0]])
+    return d, gens
+
+
+def as_field(vec, label="v"):
+    return VectorField([Polynomial(V2, {m: Q(c) for m, c in comp.items()})
+                        for comp in vec], label)
+
+
+def basis_of(mod):
+    return [field_to_dict(f) for f in mod.groebner_basis()]
+
+
+def leading(field):
+    """(position, monomial, coefficient) of the leading term: the lowest
+    nonzero component, position over term."""
+    for pos, comp in enumerate(field.components):
+        if not comp.is_zero():
+            c, m = comp.lt()
+            return pos, m, c
+
+
+def shifted(field, mono):
+    mul = Polynomial(V2, {mono: Q(1)})
+    return [comp * mul for comp in field.components]
+
+
+def sympy_vector(vec):
+    x1, x2 = sympy.symbols("x1 x2")
+    return [sum((c * x1 ** a * x2 ** b for (a, b), c in comp.items()), sympy.Integer(0))
+            for comp in vec]
+
+
+class TestModuleOracle:
+    @settings(max_examples=60)
+    @given(submodules(), st.data())
+    def test_extension_matches_scratch(self, case, data):
+        """Growing a basis one vector at a time gives the from-scratch basis,
+        in any generator order."""
+        d, gens = case
+        fields = [as_field(v) for v in gens]
+        scratch = basis_of(PolySubmodule(V2, d, fields))
+        perm = data.draw(st.permutations(range(len(fields))))
+        assert basis_of(PolySubmodule(V2, d, [fields[i] for i in perm])) == scratch
+        grown = PolySubmodule(V2, d, [])
+        for i in perm:
+            grown = grown.extended([fields[i]])
+        assert basis_of(grown) == scratch
+
+    @settings(max_examples=60)
+    @given(submodules())
+    def test_basis_is_reduced_groebner(self, case):
+        """Every same-position S-pair reduces to zero, and the basis is
+        reduced: monic, and no term divisible by another element's leading
+        term in its position."""
+        d, gens = case
+        mod = PolySubmodule(V2, d, [as_field(v) for v in gens])
+        gb = mod.groebner_basis()
+        lts = [leading(f) for f in gb]
+        for i, f in enumerate(gb):
+            assert lts[i][2] == 1
+            for pos, m in field_to_dict(f):
+                for j, (pj, mj, _) in enumerate(lts):
+                    assert j == i or pj != pos or not mono_divides(mj, m)
+            for j in range(i):
+                (pi, mi, _), (pj, mj, _) = lts[i], lts[j]
+                if pi != pj:
+                    continue
+                L = mono_lcm(mi, mj)
+                a, b = shifted(f, mono_div(L, mi)), shifted(gb[j], mono_div(L, mj))
+                assert mod.member(VectorField([u - v for u, v in zip(a, b)], "s"))
+
+    @settings(max_examples=40)
+    @given(submodules(), st.data())
+    def test_membership_matches_sympy(self, case, data):
+        """Membership of a random combination of the generators, of a random
+        vector and of each unit vector agrees with sympy's submodule test."""
+        d, gens = case
+        mod = PolySubmodule(V2, d, [as_field(v) for v in gens])
+        x1, x2 = sympy.symbols("x1 x2")
+        theirs = sympy.QQ.old_poly_ring(x1, x2).free_module(d).submodule(
+            *[sympy_vector(v) for v in gens if any(v)])
+        mono = st.tuples(st.integers(0, 1), st.integers(0, 1))
+        poly = st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=2)
+        multipliers = data.draw(st.lists(poly, min_size=len(gens), max_size=len(gens)))
+        combo = [{} for _ in range(d)]
+        for mult, vec in zip(multipliers, gens):
+            for k, comp in enumerate(vec):
+                for (a1, a2), c in mult.items():
+                    for (b1, b2), e in comp.items():
+                        m = (a1 + b1, a2 + b2)
+                        combo[k][m] = combo[k].get(m, 0) + c * e
+        combo = [{m: c for m, c in comp.items() if c} for comp in combo]
+        assert mod.member(as_field(combo))
+        assert theirs.contains(sympy_vector(combo))
+        others = [data.draw(st.lists(poly, min_size=d, max_size=d))]
+        others += [[{(0, 0): 1} if k == j else {} for k in range(d)] for j in range(d)]
+        for vec in others:
+            assert mod.member(as_field(vec)) == theirs.contains(sympy_vector(vec))
+
+    @settings(max_examples=40)
+    @given(submodules(dims=st.just(1)))
+    def test_rank_one_matches_ideal_engine(self, case):
+        """In Q[x]^1 the module basis is the ideal basis of ideals.buchberger."""
+        _, gens = case
+        polys = [Polynomial(V2, {m: Q(c) for m, c in vec[0].items()}) for vec in gens]
+        ideal_basis = [{(0, m): c for m, c in g.coeffs.items()} for g in buchberger(polys)]
+        assert basis_of(PolySubmodule(V2, 1, [as_field(v) for v in gens])) == ideal_basis
+
+
 class TestStabilizeChain:
     def planar(self):
         zero = VectorField([Polynomial.zero(V2)] * 2, "f")
@@ -119,16 +246,19 @@ class TestStabilizeChain:
 
     def test_module_is_column_span(self):
         """The stabilized module is spanned by exactly the chain's columns,
-        so generic_rank may read the column rank off it."""
+        so generic_rank may read the column rank off it; at every depth the
+        recorded basis size is that of the columns retained so far."""
         systems = [self.planar()]
-        for seed in (0, 2, 5, 6, 8):  # up to ten columns, each under 0.3 s
+        for seed in range(10):
             rng = random.Random(seed)
             systems.append(SystemSpec(V2, random_field(rng, V2, "f"),
                                       [random_field(rng, V2, "g")]))
         for sys_ in systems:
             for mode in ("accessibility", "strong"):
                 chain = stabilize_chain(sys_, mode=mode)
-                span = PolySubmodule(V2, 2, chain.columns)
+                for depth in range(len(chain.rounds)):
+                    span = PolySubmodule(V2, 2, chain.columns_at(depth))
+                    assert len(span.groebner_basis()) == chain.basis_sizes[depth]
                 assert span.equals(chain.module)
 
     def test_strong_mode_smaller_start(self):
