@@ -12,7 +12,6 @@ from .errors import CapReached
 from .ideals import (
     Ideal,
     Unsupported,
-    ideal_equal,
     invariant_closure,
     is_invariant,
     real_radical_restricted,

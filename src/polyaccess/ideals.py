@@ -4,205 +4,29 @@ can certify exactly."""
 
 from __future__ import annotations
 
-import heapq
 from typing import NamedTuple
 
 from .errors import CapReached
+from .modules import PolySubmodule
 from .poly import (
     DEGREVLEX,
     BlockOrder,
     Polynomial,
     VarTable,
     mono_div,
-    mono_divides,
     mono_gcd,
-    mono_lcm,
-    mono_mul,
     squarefree_part,
 )
-from .rationals import ONE, ZERO
+from .rationals import ONE
 from .vectorfields import lie_derivative
 
 
-def _negkey(k):
-    """Flip a nested integer-tuple sort key so a min-heap pops the maximum."""
-    return tuple(-x if isinstance(x, int) else _negkey(x) for x in k)
+class Ideal(PolySubmodule):
+    """Ideal of Q[x]: the submodule of Q[x]^1 its generators span, viewed
+    through polynomials.  A polynomial p is the vector {(0, m): c} of its
+    terms c*m."""
 
-
-def _reduce(coeffs, reducers, order):
-    """Remainder of a coefficient dict modulo reducers [(lm, lc, coeffs)].
-
-    Monomials are consumed in strictly descending order via a lazy heap, so
-    each monomial is processed at most once.
-    """
-    key = order.key
-    work = dict(coeffs)
-    remainder = {}
-    heap = [(_negkey(key(m)), m) for m in work]
-    heapq.heapify(heap)
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = work.get(m)
-        if c is None:
-            continue
-        del work[m]
-        for lm, lc, bc in reducers:
-            if mono_divides(lm, m):
-                break
-        else:
-            remainder[m] = c
-            continue
-        q = c / lc
-        shift = mono_div(m, lm)
-        for bm, bcoef in bc.items():
-            if bm == lm:
-                continue
-            mm = mono_mul(bm, shift)
-            v = work.get(mm)
-            if v is None:
-                work[mm] = -q * bcoef
-                heapq.heappush(heap, (_negkey(key(mm)), mm))
-            else:
-                v = v - q * bcoef
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
-    return remainder
-
-
-def _make_reducers(basis):
-    out = []
-    for g in basis:
-        lc, lm = g.lt()
-        out.append((lm, lc, g.coeffs))
-    return out
-
-
-def normal_form(p, basis):
-    """Remainder of p on division by the polynomial list basis."""
-    basis = [g for g in basis if not g.is_zero()]
-    if p.is_zero() or not basis:
-        return p
-    rem = _reduce(p.coeffs, _make_reducers(basis), p.order)
-    return Polynomial(p.vars, rem, p.order, _clean=False)
-
-
-def _spoly(f, g):
-    cf, mf = f.lt()
-    cg, mg = g.lt()
-    L = mono_lcm(mf, mg)
-    a = f.scale_shift(ONE / cf, mono_div(L, mf))
-    b = g.scale_shift(ONE / cg, mono_div(L, mg))
-    return a - b
-
-
-def _autoreduce(polys, order):
-    """The inputs, smallest leading monomial first, each reduced against the
-    ones already kept and made monic; zero remainders are dropped."""
-    key = order.key
-    kept = []
-    reducers = []
-    for g in sorted(polys, key=lambda g: key(g.leading_monomial())):
-        rem = _reduce(g.coeffs, reducers, order)
-        if rem:
-            h = Polynomial(g.vars, rem, order, _clean=False).monic()
-            kept.append(h)
-            reducers.append((h.leading_monomial(), ONE, h.coeffs))
-    return kept
-
-
-def pair_update(lms, active, pairs, key, product=True):
-    """Gebauer-Moeller update for the newest element, index len(lms) - 1.
-
-    lms holds the leading monomials of all elements by index, active the
-    elements the new one may pair with, and pairs their heap of pending
-    pairs (key(lcm), i, j, lcm).  The new element h drops each old pair
-    whose lcm lm(h) divides, unless lm(h) forms that same lcm with one of
-    the pair (B-criterion); it keeps one of its own pairs per minimal lcm
-    (M/F criteria), none with a coprime leading monomial if product is set
-    (product criterion); and it retires the elements whose leading monomial
-    lm(h) divides.  Returns the new active list and pair heap.
-    """
-    k = len(lms) - 1
-    hm = lms[k]
-    # coprime pairs still rule out pairs with a multiple of their lcm,
-    # so they are dropped only after the scan
-    candidates = [(mono_lcm(lms[i], hm), i) for i in active]
-    new = []
-    while candidates:
-        L, i = candidates.pop()
-        coprime = product and not any(mono_gcd(lms[i], hm))
-        if coprime or not (
-            any(mono_divides(L2, L) for L2, _ in candidates)
-            or any(mono_divides(L2, L) for L2, _, _ in new)
-        ):
-            new.append((L, i, coprime))
-    pairs = [
-        (kp, i, j, L)
-        for kp, i, j, L in pairs
-        if not mono_divides(hm, L)
-        or mono_lcm(lms[i], hm) == L
-        or mono_lcm(lms[j], hm) == L
-    ]
-    pairs.extend((key(L), i, k, L) for L, i, coprime in new if not coprime)
-    heapq.heapify(pairs)
-    active = [i for i in active if not mono_divides(hm, lms[i])]
-    active.append(k)
-    return active, pairs
-
-
-def buchberger(gens, order=None):
-    """Reduced monic Groebner basis of the given generators.
-
-    The inputs are autoreduced, then every new element prunes the pairs by
-    the Gebauer-Moeller update (pair_update) as it is added.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return ()
-    order = order or gens[0].order
-    key = order.key
-    G = []  # every element ever added; retired ones stay for the pair indices
-    lms = []
-    active = []  # indices of G still in the basis
-    pairs = []  # heap of (key(lcm), i, j, lcm)
-    reducers = []
-
-    def insert(h):
-        nonlocal active, pairs, reducers
-        G.append(h)
-        lms.append(h.leading_monomial())
-        active, pairs = pair_update(lms, active, pairs, key)
-        reducers = [(lms[i], ONE, G[i].coeffs) for i in active]
-
-    for g in _autoreduce([g.with_order(order) for g in gens], order):
-        insert(g)
-    while pairs:
-        _, i, j, _ = heapq.heappop(pairs)
-        rem = _reduce(_spoly(G[i], G[j]).coeffs, reducers, order)
-        if rem:
-            insert(Polynomial(G[i].vars, rem, order, _clean=False).monic())
-    return _interreduce([G[i] for i in active], order)
-
-
-def _interreduce(minimal, order):
-    """Reduced basis from a minimal one: every tail fully reduced against
-    the others, sorted by descending leading monomial."""
-    key = order.key
-    out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        h = normal_form(g, others) if others else g
-        out.append(h.monic())
-    out.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
-    return tuple(out)
-
-
-class Ideal:
-    """Ideal of Q[x] with a cached reduced Groebner basis."""
-
-    __slots__ = ("vars", "order", "gens", "_gb", "_reducers")
+    __slots__ = ("_polys",)
 
     def __init__(self, vars, gens, order=DEGREVLEX):
         if not isinstance(vars, VarTable):
@@ -213,62 +37,49 @@ class Ideal:
                 raise ValueError("generator lives over a different variable table")
             if not g.is_zero():
                 cleaned.append(g.with_order(order))
-        self.vars = vars
-        self.order = order
+        super().__init__(vars, 1, (), order)
         self.gens = tuple(cleaned)
-        self._gb = None
-        self._reducers = None
+        self._polys = None
+
+    def _vec(self, p):
+        return {(0, m): c for m, c in p.coeffs.items()}
+
+    def _unvec(self, d):
+        return Polynomial(self.vars, {m: c for (_, m), c in d.items()}, self.order, _clean=False)
+
+    def _like(self, gens):
+        return Ideal(self.vars, gens, self.order)
 
     def groebner_basis(self):
-        if self._gb is None:
-            self._gb = buchberger(self.gens, self.order)
-            self._reducers = _make_reducers(self._gb)
-        return self._gb
-
-    def normal_form(self, p):
-        gb = self.groebner_basis()
-        if p.is_zero() or not gb:
-            return p.with_order(self.order)
-        p = p.with_order(self.order)
-        rem = _reduce(p.coeffs, self._reducers, self.order)
-        return Polynomial(self.vars, rem, self.order, _clean=False)
-
-    def member(self, p):
-        return self.normal_form(p).is_zero()
+        """The reduced monic basis, sorted by descending leading monomial."""
+        if self._polys is None:
+            self._polys = tuple(map(self._unvec, self._basis()))
+        return self._polys
 
     def is_zero_ideal(self):
-        return not self.groebner_basis()
+        return not self._basis()
 
     def is_proper(self):
         gb = self.groebner_basis()
         return not (gb and gb[0].is_constant())
-
-    def equals(self, other):
-        if self.vars != other.vars:
-            return False
-        a = self.groebner_basis()
-        if self.order == other.order:
-            b = other.groebner_basis()
-        else:
-            b = buchberger([g.with_order(self.order) for g in other.gens], self.order)
-        return _gb_signature(a) == _gb_signature(b)
 
     def __repr__(self):
         body = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({body})"
 
 
-def _gb_signature(gb):
-    return frozenset(frozenset(g.coeffs.items()) for g in gb)
+def buchberger(gens, order=None):
+    """Reduced monic Groebner basis of the given polynomials, sorted by
+    descending leading monomial, in the order of the first one by default."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return ()
+    return Ideal(gens[0].vars, gens, order or gens[0].order).groebner_basis()
 
 
 def ideal_sum(a, b):
-    """Sum of two ideals, generated by their cached reduced bases."""
-    return Ideal(a.vars, a.groebner_basis() + b.groebner_basis(), a.order)
-
-
-def ideal_equal(a, b):
-    return a.equals(b)
+    """Sum of two ideals: b's basis inserted into a's."""
+    return a.extended(b.groebner_basis())
 
 
 def _fresh_name(vars, stem):
@@ -524,7 +335,7 @@ class ClosureResult(NamedTuple):
 def invariant_closure(ideal, fields, max_rounds=64):
     """Smallest ideal containing the input and closed under Lie derivatives
     along the fields, grown breadth-first one round at a time."""
-    current = Ideal(ideal.vars, ideal.groebner_basis(), ideal.order)
+    current = ideal
     rounds = []
     for _ in range(max_rounds):
         added = []
@@ -543,7 +354,5 @@ def invariant_closure(ideal, fields, max_rounds=64):
         if not added:
             return ClosureResult(current, tuple(rounds))
         rounds.append(tuple(added))
-        current = Ideal(
-            current.vars, current.groebner_basis() + tuple(added), current.order
-        )
+        current = current.extended(added)
     raise CapReached("invariant closure", max_rounds)

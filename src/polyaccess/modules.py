@@ -1,9 +1,22 @@
-"""Submodules of Q[x]^n and the saturation that stabilizes the ascending
-chain of bracket-generated modules.
+"""Submodules of Q[x]^n, the Groebner engine, and the saturation that
+stabilizes the ascending chain of bracket-generated modules.
 
 Vectors are flat dicts {(position, monomial): coefficient}; the term order
 is position-over-term with earlier positions larger, so leading terms sit
-in the lowest occupied component.
+in the lowest occupied component.  An ideal of Q[x] is a submodule of
+Q[x]^1, so module_buchberger computes the ideal bases too (ideals.Ideal is
+a PolySubmodule at dim 1).
+
+The product criterion drops a pair whose leading monomials are coprime.
+It holds for the pairs led in the last position, dim - 1, and only there.
+An element led in the last position has no other component, since its
+leading position is its lowest occupied one.  Such elements are polynomial
+multiples of one unit vector, and two of them with coprime leading
+monomials have an S-vector that reduces to zero, as for polynomials.  An
+element led in an earlier position may have later components, and then the
+criterion fails: in Q[x, y]^2, (x, 1) and (y, 0) have coprime leading
+monomials, but their S-vector y*(x, 1) - x*(y, 0) = (0, y) is reduced and
+nonzero.  In Q[x]^1 every element is led in the last position.
 """
 
 from __future__ import annotations
@@ -12,8 +25,7 @@ import heapq
 from typing import NamedTuple
 
 from .errors import CapReached
-from .ideals import _negkey, pair_update
-from .poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_mul
+from .poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
 from .rationals import ONE, ZERO
 from .vectorfields import VectorField, lie_bracket
 
@@ -32,6 +44,11 @@ def dict_to_field(vars, dim, d, label, order=DEGREVLEX):
         comps[pos][m] = c
     polys = [Polynomial(vars, comp, order, _clean=False) for comp in comps]
     return VectorField(polys, label)
+
+
+def _negkey(k):
+    """Flip a nested integer-tuple sort key so a min-heap pops the maximum."""
+    return tuple(-x if isinstance(x, int) else _negkey(x) for x in k)
 
 
 def _mv_key(order):
@@ -68,7 +85,13 @@ def _mv_shift(d, mono):
 
 def _mv_reduce(d, reducers, order):
     """Normal form of a vector dict modulo monic reducers, given as
-    {position: [(leading monomial, vector dict)]}."""
+    {position: [(leading monomial, vector dict)]}.
+
+    Terms are consumed in strictly descending order via a lazy heap, so
+    each term is processed at most once.
+    """
+    if not reducers:
+        return dict(d)
     negf = _mv_negkey(order)
     work = dict(d)
     remainder = {}
@@ -112,16 +135,61 @@ def _make_mv_reducers(basis, keyf):
     return out
 
 
-def module_buchberger(gens, order=DEGREVLEX, basis=()):
-    """Reduced monic Groebner basis of a reduced basis plus more vectors.
+def pair_update(lms, active, pairs, key, pos, dim):
+    """Gebauer-Moeller update for the newest element, index len(lms) - 1,
+    led in position pos of Q[x]^dim.
+
+    lms holds the leading monomials of all elements by index, active the
+    elements of position pos, and pairs their heap of pending pairs
+    (key(lcm), i, j, lcm).  The new element h drops each old pair whose lcm
+    lm(h) divides, unless lm(h) forms that same lcm with one of the pair
+    (B-criterion); it keeps one of its own pairs per minimal lcm (M/F
+    criteria), none with a coprime leading monomial in the last position
+    (product criterion, see the module docstring); and it retires the
+    elements whose leading monomial lm(h) divides.  Returns the new active
+    list and pair heap.
+    """
+    k = len(lms) - 1
+    hm = lms[k]
+    product = pos == dim - 1
+    # coprime pairs still rule out pairs with a multiple of their lcm,
+    # so they are dropped only after the scan
+    candidates = [(mono_lcm(lms[i], hm), i) for i in active]
+    new = []
+    while candidates:
+        L, i = candidates.pop()
+        coprime = product and not any(mono_gcd(lms[i], hm))
+        if coprime or not (
+            any(mono_divides(L2, L) for L2, _ in candidates)
+            or any(mono_divides(L2, L) for L2, _, _ in new)
+        ):
+            new.append((L, i, coprime))
+    pairs = [
+        (kp, i, j, L)
+        for kp, i, j, L in pairs
+        if not mono_divides(hm, L)
+        or mono_lcm(lms[i], hm) == L
+        or mono_lcm(lms[j], hm) == L
+    ]
+    pairs.extend((key(L), i, k, L) for L, i, coprime in new if not coprime)
+    heapq.heapify(pairs)
+    active = [i for i in active if not mono_divides(hm, lms[i])]
+    active.append(k)
+    return active, pairs
+
+
+def module_buchberger(gens, order, dim, basis=()):
+    """Reduced monic Groebner basis of a reduced basis plus more vectors of
+    Q[x]^dim, sorted by descending leading term.
 
     The elements of basis, a reduced Groebner basis (empty for a build from
-    scratch), start in the basis with no pairs among them; the vectors of
-    gens are made monic and inserted.  S-pairs only arise between elements
-    sharing a leading position, and each insertion prunes that position's
-    pairs by ideals.pair_update without the product criterion, which does
-    not hold for vectors.  The pair with the smallest lcm goes first, so
-    the last position's pairs precede the others.
+    scratch), start in the basis with no pairs among them.  The vectors of
+    gens are taken by ascending leading term; each is reduced against the
+    basis so far, made monic and inserted, or dropped if it reduces to zero.
+    S-pairs only arise between elements sharing a leading position, and each
+    insertion prunes that position's pairs by pair_update.  The pair with
+    the smallest lcm goes first, so the last position's pairs precede the
+    others.
     """
     keyf = _mv_key(order)
     key = order.key
@@ -131,13 +199,15 @@ def module_buchberger(gens, order=DEGREVLEX, basis=()):
     pairs = {}  # position -> heap of (key(lcm), i, j, lcm)
     reducers = {}  # position -> [(lm, element)] of the active elements
 
-    def insert(h):
-        d = _mv_monic(h, keyf)
-        (pos, lm), _ = _mv_lt(d, keyf)
+    def insert(d):
+        (pos, lm), lc = _mv_lt(d, keyf)
+        if lc != ONE:
+            inv = ONE / lc
+            d = {t: c * inv for t, c in d.items()}
         G.append(d)
         lms.append(lm)
         active[pos], pairs[pos] = pair_update(
-            lms, active.get(pos, []), pairs.get(pos, []), key, product=False)
+            lms, active.get(pos, []), pairs.get(pos, []), key, pos, dim)
         reducers[pos] = [(lms[i], G[i]) for i in active[pos]]
 
     for d in basis:
@@ -146,9 +216,10 @@ def module_buchberger(gens, order=DEGREVLEX, basis=()):
         lms.append(lm)
         active.setdefault(pos, []).append(len(G) - 1)
         reducers.setdefault(pos, []).append((lm, d))
-    for d in gens:
-        if d:
-            insert(d)
+    for d in sorted(filter(None, gens), key=lambda d: keyf(_mv_lt(d, keyf)[0])):
+        h = _mv_reduce(d, reducers, order)
+        if h:
+            insert(h)
     while True:
         live = [p for p, heap in pairs.items() if heap]
         if not live:
@@ -165,19 +236,18 @@ def module_buchberger(gens, order=DEGREVLEX, basis=()):
         h = _mv_reduce(s, reducers, order)
         if h:
             insert(h)
-    # an input may be led by a multiple of another element's leading term,
-    # and is dropped here; a tail term lies below its own leading term, so
-    # reducing the tails against all elements at once reduces each against
-    # the others
+    # the active elements form a minimal basis: each entered reduced against
+    # those before it and retired those it divides.  A tail term lies below
+    # its own leading term, so reducing the tails against all elements at
+    # once reduces each against the others
     out = []
     for pos, held in reducers.items():
         for lm, d in held:
-            if any(m != lm and mono_divides(m, lm) for m, _ in held):
-                continue
-            tail = {t: c for t, c in d.items() if t != (pos, lm)}
-            out.append({(pos, lm): ONE, **_mv_reduce(tail, reducers, order)})
-    out.sort(key=lambda d: keyf(_mv_lt(d, keyf)[0]), reverse=True)
-    return tuple(out)
+            lt = (pos, lm)
+            tail = {t: c for t, c in d.items() if t != lt}
+            out.append((keyf(lt), {lt: ONE, **_mv_reduce(tail, reducers, order)}))
+    out.sort(key=lambda e: e[0], reverse=True)
+    return tuple(d for _, d in out)
 
 
 def _as_dict(vec):
@@ -189,7 +259,13 @@ def _as_dict(vec):
 
 
 class PolySubmodule:
-    """Finitely generated submodule of Q[x]^dim with a cached reduced basis."""
+    """Finitely generated submodule of Q[x]^dim with a cached reduced basis.
+
+    The generators are kept in the view's own form; _vec and _unvec convert
+    them and normal forms to and from vector dicts, so a view of another
+    form (ideals.Ideal, at dim 1) shares the basis, normal forms, equality
+    and extension.
+    """
 
     __slots__ = ("vars", "dim", "order", "gens", "_seed", "_gb", "_reducers")
 
@@ -197,22 +273,30 @@ class PolySubmodule:
         self.vars = vars
         self.dim = dim
         self.order = order
-        cleaned = []
-        for g in gens:
-            d = _as_dict(g)
-            if d:
-                cleaned.append(d)
-        self.gens = tuple(cleaned)
+        self.gens = tuple(d for d in map(_as_dict, gens) if d)
         self._seed = ()  # the reduced basis that the first gens form, if any
         self._gb = None
         self._reducers = None
 
+    def _vec(self, vec):
+        return _as_dict(vec)
+
+    def _unvec(self, d):
+        return d
+
+    def _like(self, gens):
+        return PolySubmodule(self.vars, self.dim, gens, self.order)
+
     def _basis(self):
         if self._gb is None:
-            extra = self.gens[len(self._seed):]
-            self._gb = module_buchberger(extra, self.order, self._seed)
+            extra = [self._vec(g) for g in self.gens[len(self._seed):]]
+            self._gb = module_buchberger(extra, self.order, self.dim, self._seed)
             self._reducers = _make_mv_reducers(self._gb, _mv_key(self.order))
         return self._gb
+
+    def _reduced(self, vec):
+        self._basis()
+        return _mv_reduce(self._vec(vec), self._reducers, self.order)
 
     def groebner_basis(self):
         gb = self._basis()
@@ -222,14 +306,10 @@ class PolySubmodule:
         )
 
     def normal_form(self, vec):
-        d = _as_dict(vec)
-        gb = self._basis()
-        if not d or not gb:
-            return d
-        return _mv_reduce(d, self._reducers, self.order)
+        return self._unvec(self._reduced(vec))
 
     def member(self, vec):
-        return not self.normal_form(vec)
+        return not self._reduced(vec)
 
     def rank(self):
         """Rank over Q(x): the number of distinct leading positions in the
@@ -240,29 +320,32 @@ class PolySubmodule:
         return len(self._reducers)
 
     def equals(self, other):
+        """Same span: both reduced bases, taken under this view's order,
+        agree.  Reduced bases are unique and sorted, so they compare as
+        tuples."""
         if self.vars != other.vars or self.dim != other.dim:
             return False
-        a = self._basis()
-        b = other._basis()
-        sig = lambda gb: frozenset(frozenset(d.items()) for d in gb)
-        return sig(a) == sig(b)
+        if self.order == other.order:
+            theirs = other._basis()
+        else:
+            theirs = module_buchberger(map(other._vec, other.gens), self.order, self.dim)
+        return self._basis() == theirs
 
-    def extended(self, vectors):
-        """Submodule spanned by this one plus the given vectors.  Its basis
-        is built by inserting the vectors into this module's basis."""
+    def extended(self, gens):
+        """The span of this view plus the given generators.  Its basis is
+        built by inserting them into this view's basis."""
         seed = self._basis()
-        extra = tuple(_as_dict(v) for v in vectors)
-        out = PolySubmodule(self.vars, self.dim, seed + extra, self.order)
+        out = self._like(tuple(map(self._unvec, seed)) + tuple(gens))
         out._seed = seed
         return out
 
     def adjoin(self, vec):
-        """The monic normal form of vec and the module extended by it, or an
-        empty dict and this module when vec is already a member."""
-        nf = self.normal_form(vec)
-        if not nf:
-            return nf, self
-        nf = _mv_monic(nf, _mv_key(self.order))
+        """The monic normal form of vec and the span extended by it, or a
+        zero normal form and this view when vec is already a member."""
+        d = self._reduced(vec)
+        if not d:
+            return self._unvec(d), self
+        nf = self._unvec(_mv_monic(d, _mv_key(self.order)))
         return nf, self.extended([nf])
 
     def __repr__(self):

@@ -18,7 +18,6 @@ from polyaccess import (
     closure_singular_analysis,
     exact_index_analysis,
     extend_family,
-    ideal_equal,
     ideal_sum,
     in_radical,
     invariant_closure,
@@ -117,10 +116,10 @@ def test_criterion_02_planar_intermediate_ideals():
         M = build_matrix(reduce_columns(fam.members()))
         I = minor_ideal(M, 2)
         if minor_expected is not None:
-            assert ideal_equal(I, minor_expected)
+            assert I.equals(minor_expected)
         rr = real_radical_restricted(I)
         assert not isinstance(rr, Unsupported)
-        assert ideal_equal(rr, radical_expected)
+        assert rr.equals(radical_expected)
         if depth < 2:
             fam = extend_family(fam)
 
@@ -133,8 +132,7 @@ def test_criterion_03_planar_invariant_closure():
     seed = minor_ideal(build_matrix(reduce_columns(fam.members())), 2)
     result = invariant_closure(seed, system.operators())
     assert len(result.rounds) == 2
-    assert ideal_equal(result.ideal,
-                       ideal_of(V, "x1^2*x2", "x1*x2^2", "x1^4", "x2^3"))
+    assert result.ideal.equals(ideal_of(V, "x1^2*x2", "x1*x2^2", "x1^4", "x2^3"))
     assert is_invariant(result.ideal, system.operators()).invariant
 
 
@@ -146,7 +144,7 @@ def test_criterion_04_circle_closure_variety():
     c = parse_polynomial("x2^2 + x3^2 - 1", system.vars)
     rr = real_radical_restricted(report.singular_ideal)
     if not isinstance(rr, Unsupported):
-        assert ideal_equal(rr, Ideal(system.vars, (c,)))
+        assert rr.equals(Ideal(system.vars, (c,)))
     else:
         # mutual containment: V(closure) inside V(c) by radical membership,
         # and every closure generator vanishing on 225 rational points of
@@ -174,8 +172,7 @@ def test_criterion_05_unicycle_lift(capsys):
     chain = stabilize_chain(imm.system)
     assert chain.r_hat == 1
     report = rank_l_analysis(imm.system, 3)
-    assert ideal_equal(report.singular_ideal,
-                       ideal_of(imm.system.vars, "z4^2 + z5^2"))
+    assert report.singular_ideal.equals(ideal_of(imm.system.vars, "z4^2 + z5^2"))
     pulled = pull_back_singular(imm, report.singular_ideal)
     assert pulled.empty
     assert pulled.grade == "algebraic proof"
@@ -209,7 +206,7 @@ def test_criterion_06_pendulum_rank_locus():
     assert len(I4.groebner_basis()) == 23
     rr = real_radical_restricted(I4)
     assert not isinstance(rr, Unsupported)
-    assert ideal_equal(rr, radical_monomial(ideal_of(V, "z4*z6*z7", "z5*z7")))
+    assert rr.equals(radical_monomial(ideal_of(V, "z4*z6*z7", "z5*z7")))
     pulled = pull_back_singular(imm, I4)
     assert not pulled.empty
     names = vanishing_coordinates(pulled.ideal)

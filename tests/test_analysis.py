@@ -13,7 +13,6 @@ from polyaccess import (
     closure_singular_analysis,
     exact_index_analysis,
     generic_test,
-    ideal_equal,
     in_radical,
     parse_polynomial,
     planar_depth_bound,
@@ -206,7 +205,7 @@ class TestRankThreshold:
         """Threshold n reproduces the bound-route singular ideal."""
         full = rank_l_analysis(planar(), 2)
         bound = bound_analysis(planar())
-        assert ideal_equal(full.singular_ideal, bound.singular_ideal)
+        assert full.singular_ideal.equals(bound.singular_ideal)
 
 
 class TestSampleCheck:

@@ -14,7 +14,6 @@ from polyaccess import (
     Unsupported,
     VarTable,
     VectorField,
-    ideal_equal,
     ideal_intersect,
     ideal_sum,
     in_radical,
@@ -151,7 +150,8 @@ class TestBuchbergerOracle:
         syms = sympy.symbols(" ".join(V.names))
         exprs = [sum(c * sympy.prod(s ** e for s, e in zip(syms, m))
                      for m, c in g.items()) for g in gens]
-        G = sympy.groebner(exprs, *syms, order=sympy_order, domain=sympy.QQ)
+        G = sympy.groebner(exprs, *syms, order=sympy_order, domain=sympy.QQ,
+                           method="f5b")
         theirs = {
             frozenset((m, Q(int(c.p), int(c.q))) for m, c in g.terms())
             for g in G.polys if not g.is_zero
@@ -174,7 +174,7 @@ class TestIdealOps:
         a = ideal(("x1",))
         b = ideal(("x2 - 1",))
         c = ideal_intersect(a, b)
-        assert ideal_equal(c, ideal(("x1*x2 - x1",)))
+        assert c.equals(ideal(("x1*x2 - x1",)))
 
     def test_intersect_membership(self):
         """Membership in the intersection means membership in both."""
@@ -185,9 +185,9 @@ class TestIdealOps:
             assert a.member(g) and b.member(g)
 
     def test_equal_vs_different(self):
-        """ideal_equal distinguishes genuinely different ideals."""
-        assert ideal_equal(ideal(("x1", "x2")), ideal(("x2", "x1 + x2")))
-        assert not ideal_equal(ideal(("x1",)), ideal(("x1^2",)))
+        """Ideal.equals distinguishes genuinely different ideals."""
+        assert ideal(("x1", "x2")).equals(ideal(("x2", "x1 + x2")))
+        assert not ideal(("x1",)).equals(ideal(("x1^2",)))
 
 
 class TestRadicals:
@@ -200,7 +200,7 @@ class TestRadicals:
     def test_radical_monomial(self):
         """Monomial radicals drop exponents to 1."""
         r = radical_monomial(ideal(("x1^2*x2", "x2^3")))
-        assert ideal_equal(r, ideal(("x1*x2", "x2")))
+        assert r.equals(ideal(("x1*x2", "x2")))
 
     def test_radical_monomial_precondition(self):
         """Non-monomial generators are rejected."""
@@ -212,22 +212,22 @@ class TestRealRadical:
     def test_monomial_ideal(self):
         """Monomial ideals: real radical equals the monomial radical."""
         r = real_radical_restricted(ideal(("x1^2*x2",)))
-        assert ideal_equal(r, ideal(("x1*x2",)))
+        assert r.equals(ideal(("x1*x2",)))
 
     def test_principal_affine_power(self):
         """Powers of an affine form reduce to the form."""
         r = real_radical_restricted(ideal(("x1^2 + 2*x1*x2 + x2^2",)))
-        assert ideal_equal(r, ideal(("x1 + x2",)))
+        assert r.equals(ideal(("x1 + x2",)))
 
     def test_principal_monomial_times_affine(self):
         """Content splits off and the pieces recombine by intersection."""
         r = real_radical_restricted(ideal(("x1^2*x2 - x1^2",)))
-        assert ideal_equal(r, ideal(("x1*x2 - x1",)))
+        assert r.equals(ideal(("x1*x2 - x1",)))
 
     def test_principal_even_powers(self):
         """Positive combinations of even powers vanish on a coordinate set."""
         r = real_radical_restricted(ideal(("x1^2 + x2^4",)))
-        assert ideal_equal(r, ideal(("x1", "x2")))
+        assert r.equals(ideal(("x1", "x2")))
         r = real_radical_restricted(ideal(("2*x1^2 + 3/2*x2^2*x1^2",)))
         assert isinstance(r, Ideal)
 
@@ -240,12 +240,12 @@ class TestRealRadical:
     def test_combined_generators(self):
         """Per-generator reduction then recombination."""
         r = real_radical_restricted(ideal(("x1^2*x2", "x1*x2^2", "x1^4")))
-        assert ideal_equal(r, ideal(("x1",)))
+        assert r.equals(ideal(("x1",)))
 
     def test_unsupported_generator_passes_through(self):
         """A generator outside the principal classes joins the combination raw."""
         r = real_radical_restricted(ideal(("x1^2", "x1*x2 - x1^3")))
-        assert ideal_equal(r, ideal(("x1",)))
+        assert r.equals(ideal(("x1",)))
 
     def test_certified_shape_required(self):
         """A raw passthrough that stays non-monomial blocks the combination."""
@@ -256,9 +256,9 @@ class TestRealRadical:
     def test_combination_with_certificates(self):
         """Recombined generators are certified by real-radical witnesses."""
         r = real_radical_restricted(ideal(("x1*x2", "x1 - x2")))
-        assert ideal_equal(r, ideal(("x1", "x2")))
+        assert r.equals(ideal(("x1", "x2")))
         r = real_radical_restricted(ideal(("x1*(x1^2 + 1)", "x2")))
-        assert ideal_equal(r, ideal(("x1", "x2")))
+        assert r.equals(ideal(("x1", "x2")))
 
     def test_improper_passes(self):
         """The unit ideal is its own real radical."""
@@ -293,5 +293,5 @@ class TestInvariance:
         assert is_invariant(result.ideal, self.fields()).invariant
         for g in seed.groebner_basis():
             assert result.ideal.member(g)
-        assert ideal_equal(result.ideal, ideal(("x1", "x2")))
+        assert result.ideal.equals(ideal(("x1", "x2")))
         assert len(result.rounds) == 1

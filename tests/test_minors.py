@@ -17,7 +17,6 @@ from polyaccess import (
     VectorField,
     build_matrix,
     generic_rank,
-    ideal_equal,
     minor_ideal,
     parse_polynomial,
     rational_rank,
@@ -151,13 +150,13 @@ class TestMinorIdeal:
         """2x2 minors of the planar depth-1 matrix."""
         M = build_matrix(planar_columns()[:2])
         I = minor_ideal(M, 2)
-        assert ideal_equal(I, Ideal(V2, [p("x1^2*x2")]))
+        assert I.equals(Ideal(V2, [p("x1^2*x2")]))
 
     def test_size_one(self):
         """1x1 minors are the entries."""
         M = build_matrix(planar_columns()[:1])
         I = minor_ideal(M, 1)
-        assert ideal_equal(I, Ideal(V2, [p("x2")]))
+        assert I.equals(Ideal(V2, [p("x2")]))
 
     def test_oversized_rejected(self):
         """Minor sizes beyond the matrix shape are errors."""
@@ -191,8 +190,7 @@ class TestReduceColumns:
         cols = planar_columns() + [vf(("x1*x2", "x1^3"), "extra")]
         kept = reduce_columns(cols)
         for size in (1, 2):
-            assert ideal_equal(
-                minor_ideal(build_matrix(cols), size),
+            assert minor_ideal(build_matrix(cols), size).equals(
                 minor_ideal(build_matrix(kept), size))
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyaccess import (
+    Ideal,
     Polynomial,
     PolySubmodule,
     SystemSpec,
@@ -16,9 +17,8 @@ from polyaccess import (
     parse_polynomial,
     stabilize_chain,
 )
-from polyaccess.ideals import buchberger
 from polyaccess.modules import field_to_dict
-from polyaccess.poly import mono_div, mono_divides, mono_lcm
+from polyaccess.poly import DEGREVLEX, LEX, mono_div, mono_divides, mono_lcm
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -83,6 +83,15 @@ class TestPolySubmodule:
         assert a.equals(b)
         c = PolySubmodule(V2, 2, [vf(("x1", "0"), "u")])
         assert not a.equals(c)
+
+    def test_equals_across_orders(self):
+        """The same module under two term orders is equal, both ways."""
+        gens = [vf(("x1^2 - x2", "0"), "u"), vf(("x1*x2 - 1", "0"), "v"),
+                vf(("x2", "x1"), "w")]
+        a = PolySubmodule(V2, 2, gens, DEGREVLEX)
+        b = PolySubmodule(V2, 2, gens, LEX)
+        assert a.equals(b) and b.equals(a)
+        assert not a.equals(PolySubmodule(V2, 2, gens[1:], LEX))
 
     def test_extended(self):
         """Extension adds new directions."""
@@ -203,13 +212,25 @@ class TestModuleOracle:
             assert mod.member(as_field(vec)) == theirs.contains(sympy_vector(vec))
 
     @settings(max_examples=40)
-    @given(submodules(dims=st.just(1)))
-    def test_rank_one_matches_ideal_engine(self, case):
-        """In Q[x]^1 the module basis is the ideal basis of ideals.buchberger."""
+    @given(submodules(dims=st.just(1)), st.data())
+    def test_rank_one_views_agree(self, case, data):
+        """An Ideal and a PolySubmodule of Q[x]^1 on the same generators give
+        the same reduced basis, and the same normal form and membership for a
+        drawn polynomial: a multiple of the first generator plus a remainder."""
         _, gens = case
         polys = [Polynomial(V2, {m: Q(c) for m, c in vec[0].items()}) for vec in gens]
-        ideal_basis = [{(0, m): c for m, c in g.coeffs.items()} for g in buchberger(polys)]
-        assert basis_of(PolySubmodule(V2, 1, [as_field(v) for v in gens])) == ideal_basis
+        ideal = Ideal(V2, polys)
+        module = PolySubmodule(V2, 1, [as_field(v) for v in gens])
+        as_vec = lambda g: {(0, m): c for m, c in g.coeffs.items()}
+        assert [as_vec(g) for g in ideal.groebner_basis()] == basis_of(module)
+        assert ideal.equals(module) and module.equals(ideal)
+        mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        poly = st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=2)
+        mult, rest = data.draw(poly), data.draw(poly)
+        f = (Polynomial(V2, {m: Q(c) for m, c in mult.items()}) * polys[0]
+             + Polynomial(V2, {m: Q(c) for m, c in rest.items()}))
+        assert as_vec(ideal.normal_form(f)) == module.normal_form(as_field([f.coeffs]))
+        assert ideal.member(f) == module.member(as_field([f.coeffs]))
 
 
 class TestStabilizeChain:
