@@ -127,10 +127,12 @@ def _mv_reduce(d, reducers, order):
     return remainder
 
 
-def _make_mv_reducers(basis, keyf):
+def _make_mv_reducers(basis):
+    """Reducer table of a module_buchberger output, whose elements each
+    have their leading term as first key."""
     out = {}
     for d in basis:
-        (pos, lm), _ = _mv_lt(d, keyf)
+        pos, lm = next(iter(d))
         out.setdefault(pos, []).append((lm, d))
     return out
 
@@ -189,7 +191,8 @@ def module_buchberger(gens, order, dim, basis=()):
     S-pairs only arise between elements sharing a leading position, and each
     insertion prunes that position's pairs by pair_update.  The pair with
     the smallest lcm goes first, so the last position's pairs precede the
-    others.
+    others.  Each output element has its leading term as its first key, and
+    the elements of basis must too.
     """
     keyf = _mv_key(order)
     key = order.key
@@ -211,7 +214,7 @@ def module_buchberger(gens, order, dim, basis=()):
         reducers[pos] = [(lms[i], G[i]) for i in active[pos]]
 
     for d in basis:
-        (pos, lm), _ = _mv_lt(d, keyf)
+        pos, lm = next(iter(d))
         G.append(d)
         lms.append(lm)
         active.setdefault(pos, []).append(len(G) - 1)
@@ -291,7 +294,7 @@ class PolySubmodule:
         if self._gb is None:
             extra = [self._vec(g) for g in self.gens[len(self._seed):]]
             self._gb = module_buchberger(extra, self.order, self.dim, self._seed)
-            self._reducers = _make_mv_reducers(self._gb, _mv_key(self.order))
+            self._reducers = _make_mv_reducers(self._gb)
         return self._gb
 
     def _reduced(self, vec):

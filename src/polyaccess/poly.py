@@ -10,6 +10,9 @@ printed form is canonical.
 from __future__ import annotations
 
 import re
+from functools import cache, reduce
+from itertools import count, zip_longest
+from math import gcd, isqrt, lcm, prod
 
 from .errors import ParseError
 from .rationals import ONE, Q, ZERO
@@ -159,10 +162,6 @@ def mono_gcd(a, b):
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 class Polynomial:
     """Immutable sparse polynomial tied to a VarTable and a MonomialOrder."""
 
@@ -242,11 +241,6 @@ class Polynomial:
         if not self.coeffs:
             return -1
         return max(sum(m) for m in self.coeffs)
-
-    def degree_in(self, i):
-        if not self.coeffs:
-            return -1
-        return max(m[i] for m in self.coeffs)
 
     def lt(self):
         """(coefficient, monomial) of the leading term in the active order."""
@@ -376,15 +370,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def scale_shift(self, coeff, mono):
-        """coeff * x^mono * self, the inner loop of division."""
-        if not coeff:
-            return Polynomial.zero(self.vars, self.order)
-        res = {}
-        for m, c in self.coeffs.items():
-            res[tuple(x + y for x, y in zip(m, mono))] = c * coeff
-        return Polynomial(self.vars, res, self.order, _clean=False)
-
     # -- calculus / evaluation ---------------------------------------------
 
     def partial_derivative(self, which):
@@ -488,9 +473,9 @@ class Polynomial:
             neg = c < 0
             mag = -c if neg else c
             if body:
-                piece = body if mag == 1 else f"{_rat_str(mag)}*{body}"
+                piece = body if mag == 1 else f"{mag}*{body}"
             else:
-                piece = _rat_str(mag)
+                piece = str(mag)
             if not parts:
                 parts.append(f"-{piece}" if neg else piece)
             else:
@@ -499,10 +484,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def _rat_str(c):
-    return str(c)
 
 
 # -- exact division, gcd, squarefree part ----------------------------------
@@ -547,214 +528,231 @@ def divides(d, p):
         return False
 
 
-def _to_univariate(p, i):
-    """View p as a univariate polynomial in variable i: {degree: coefficient},
-    coefficients living in the same table with slot i zeroed."""
-    out = {}
-    for m, c in p.coeffs.items():
-        e = m[i]
-        rest = m[:i] + (0,) + m[i + 1 :]
-        bucket = out.setdefault(e, {})
-        bucket[rest] = bucket.get(rest, ZERO) + c
-    return {
-        e: Polynomial(p.vars, coeffs, p.order, _clean=False) for e, coeffs in out.items()
-    }
-
-
-def _from_univariate(uni, i, vars, order):
-    res = {}
-    for e, coef in uni.items():
-        for m, c in coef.coeffs.items():
-            res[m[:i] + (e,) + m[i + 1 :]] = c
-    return Polynomial(vars, res, order, _clean=False)
-
-
-def _uni_degree(uni):
-    return max(uni) if uni else -1
-
-
-def _uni_scale(uni, poly):
-    return _uni_normalize({e: c * poly for e, c in uni.items()})
-
-
-def _uni_normalize(uni):
-    return {e: c for e, c in uni.items() if not c.is_zero()}
-
-
-def _pseudo_rem(A, B):
-    """Pseudo-remainder of univariate views A by B (in the same variable)."""
-    dB = _uni_degree(B)
-    lB = B[dB]
-    R = dict(A)
-    steps = _uni_degree(A) - dB + 1
-    used = 0
-    while True:
-        dR = _uni_degree(R)
-        if dR < dB:
-            break
-        lR = R[dR]
-        newR = {}
-        for e, c in R.items():
-            if e == dR:
-                continue
-            newR[e] = c * lB
-        for e, c in B.items():
-            if e == dB:
-                continue
-            shift = e + dR - dB
-            v = newR.get(shift)
-            prod = lR * c
-            newR[shift] = (v - prod) if v is not None else -prod
-        R = _uni_normalize(newR)
-        used += 1
-    if used < steps:
-        mult = lB ** (steps - used)
-        R = _uni_scale(R, mult)
-    return R
-
-
 def poly_gcd(p, q):
-    """Monic gcd of p and q.
+    """Monic gcd of p and q, by Brown's dense modular algorithm.
 
-    A coprime pair is certified by univariate images (_coprime_by_images)
-    and gets the constant 1 without further algebra.  Every other pair,
-    including those the images cannot decide, goes through the recursive
-    subresultant polynomial remainder sequence, which computes the gcd
-    exactly.
+    The gcd of the monomial contents is a factor; the rest is the gcd of
+    the primitive integer parts a and b, which is 1 when _degree_bounds
+    bounds its degree by 0 in every variable.  Otherwise each prime P gives
+    the monic gcd mod P (_gcd_mod) times gamma = gcd(lc a, lc b), in lex
+    order.  Primes whose gcd leads with a larger monomial than another's
+    are unlucky and dropped; the rest are combined by Chinese remaindering.
+    Each primitive candidate is certified by trial division of a and b, or
+    the next prime follows: it divides gcd(a, b) and does not lead lower.
     """
-    if p.is_zero():
-        return q.monic() if q else q
-    if q.is_zero():
-        return p.monic()
+    if p.is_zero() or q.is_zero():
+        return (p + q).monic()
     p._check(q)
-    if _coprime_by_images(p, q):
-        return Polynomial.constant(p.vars, 1, p.order)
-    g = _gcd_inner(p, q)
-    return g.monic()
+    (low_p, a), (low_q, b) = _primitive(p), _primitive(q)
+    mono = mono_gcd(low_p, low_q)
+    bounds = _degree_bounds(a, b, _prime(0))
+    X = Polynomial(p.vars, {mono: ONE}, p.order, _clean=False)
+    if not any(bounds):
+        return X
+    A, B = Polynomial(p.vars, a, p.order), Polynomial(p.vars, b, p.order)
+    lead, best = gcd(a[max(a)], b[max(b)]), None
+    for i in count():
+        P = _prime(i)
+        if not lead % P:
+            continue
+        h = _gcd_mod(*({m: v for m, c in f.items() if (v := c % P)} for f in (a, b)), P, bounds)
+        if best is None or max(h) < best:
+            best, H, M = max(h), {}, 1
+        elif max(h) > best:
+            continue
+        inv, M = pow(M, -1, P), M * P
+        for m in H.keys() | h.keys():
+            u = H.get(m, 0)
+            u += M // P * ((h.get(m, 0) * lead - u) * inv % P)
+            H[m] = u - M if 2 * u > M else u
+        content = gcd(*H.values())
+        G = Polynomial(p.vars, {m: c // content for m, c in H.items()}, p.order)
+        if divides(G, A) and divides(G, B):
+            return (X * G).monic()
 
 
-def _coprime_by_images(p, q):
-    """True when gcd(p, q) is provably constant; False when undecided.
+def _primitive(p):
+    """The monomial content of p, and p over it and its integer content as
+    {exponent tuple: int}."""
+    low = reduce(mono_gcd, p.coeffs)
+    den = lcm(*(c.denominator for c in p.coeffs.values()))
+    out = {mono_div(m, low): int(c.numerator) * (den // int(c.denominator))
+           for m, c in p.coeffs.items()}
+    content = gcd(*out.values())
+    return low, {m: c // content for m, c in out.items()}
 
-    For each variable v that both p and q contain, the variable in slot j
-    (from 0) of every other is set to the integer (j + 1)(j + k + 3), taking
-    the first k < 3 where neither v-leading coefficient vanishes.  A common
-    factor g of v-degree d > 0 has lc_v(g) dividing lc_v(p), so it keeps
-    v-degree d at that point, and its image divides both images of p and q.
-    A constant gcd of the images therefore proves deg_v gcd(p, q) = 0.
-    Every variable of the gcd occurs in both p and q, so when each shared
-    variable is ruled out the gcd is constant.  A leading coefficient that
-    vanishes at every point, or a non-constant image gcd (an unlucky point
-    can create one), decides nothing.
+
+@cache
+def _prime(i):
+    """Prime i of the fixed list of primes below 2**30, descending."""
+    top = _prime(i - 1) if i else 1 << 30
+    return next(n for n in range(top - 1, 1, -1) if all(n % d for d in range(2, isqrt(n) + 1)))
+
+
+def _point(i, j):
+    """Evaluation point j of variable i, from a fixed list per variable."""
+    return 7919 * (i + 1) + 1009 * j
+
+
+def _degree_bounds(a, b, P):
+    """Bound on the degree of gcd(a, b) in each variable, from images mod P
+    of the integer polynomials a and b ({exponent tuple: int}).
+
+    For a variable v, the others are set to their image points (_image),
+    taking the first t < 3 where neither v-leading coefficient vanishes
+    mod P.  A common factor of v-degree d keeps it there, as its v-leading
+    coefficient divides that of a, so d is at most the degree of the gcd of
+    the two images.  Without such a point the bound is the smaller v-degree.
     """
-    shared = set(p.variables_present()) & set(q.variables_present())
-    points = [[(j + 1) * (j + k + 3) for j in range(len(p.vars))] for k in range(3)]
-    for v in sorted(shared):
-        for point in points:
-            a, b = _image(p, v, point), _image(q, v, point)
-            if a[-1] and b[-1]:
+    bounds = []
+    for v in range(len(next(iter(a)))):
+        bound = min(max(m[v] for m in a), max(m[v] for m in b))
+        for t in range(3 if bound else 0):
+            images = [_image(f, v, t, P) for f in (a, b)]
+            if images[0][-1] and images[1][-1]:
+                bound = len(_ugcd(*images, P)) - 1
                 break
-        else:
-            return False
-        if _uni_gcd_degree(a, b) > 0:
-            return False
-    return True
+        bounds.append(bound)
+    return bounds
 
 
-def _image(p, v, point):
-    """Dense coefficients of p in variable v, constant term first, with every
-    other variable set to its value in point."""
-    image = p.evaluate_partial({j: x for j, x in enumerate(point) if j != v})
-    out = [ZERO] * (p.degree_in(v) + 1)
-    for m, c in image.coeffs.items():
-        out[m[v]] = c
+def _image(f, v, t, P):
+    """Dense coefficients mod P of f in variable v, constant term first,
+    with each other variable j set to _point(j, t)."""
+    out = [0] * (max(m[v] for m in f) + 1)
+    for m, c in f.items():
+        out[m[v]] += c * prod(pow(_point(j, t), e, P) for j, e in enumerate(m) if j != v)
+    return [c % P for c in out]
+
+
+def _gcd_mod(f, g, P, bounds):
+    """Monic gcd of nonzero f and g ({exponent tuple: int}) in
+    Z/P[x_0, ..., x_k], lex order with x_0 first, by Brown's recursion.
+
+    bounds[i] bounds the x_i-degree of the gcd.  Over Z/P[x_k] the gcd is
+    gcd(cont f, cont g) times a primitive G whose leading coefficient
+    divides gamma = gcd(lc pp f, lc pp g).  At x_k = t with gamma(t) != 0,
+    gamma*G/lc(G) maps to gamma(t) times the monic gcd of the images of pp f
+    and pp g, unless t is unlucky and that gcd leads with a larger monomial.
+    The images leading lowest are interpolated in x_k; once they outnumber
+    deg gamma plus the bound, the interpolant's primitive part is tried by
+    trial division of f and g, and more points follow until it divides both.
+    """
+    if not bounds:
+        return {(): 1}
+    k = len(bounds) - 1
+    cf, F = _primitive_mod(_split(f), P)
+    cg, G = _primitive_mod(_split(g), P)
+    cont = _ugcd(cf, cg, P)
+    gamma = _ugcd(F[max(F)], G[max(G)], P)
+    need = len(gamma) + min(bounds[k], *(max(map(len, S.values())) - 1 for S in (F, G)))
+    best, H, q = None, {}, [1]
+    for t in (_point(k, j) % P for j in count()):
+        scale = _ueval(gamma, t, P)
+        if not scale:
+            continue
+        h = _gcd_mod(*({m: v for m, r in S.items() if (v := _ueval(r, t, P))} for S in (F, G)),
+                     P, bounds[:k])
+        if not any(max(h)):  # G = 1
+            return _join({(0,) * k: cont})
+        if best is None or max(h) < best:
+            best, H, q = max(h), {}, [1]
+        elif max(h) > best:
+            continue
+        w = pow(_ueval(q, t, P), -1, P)
+        for m in H.keys() | h.keys():  # Newton interpolation
+            row = H.get(m, [])
+            r = (h.get(m, 0) * scale - _ueval(row, t, P)) * w % P
+            if r:
+                H[m] = [(u + r * v) % P for u, v in zip_longest(row, q, fillvalue=0)]
+        q = _umul(q, [-t % P, 1], P)
+        if len(q) > need:
+            _, C = _primitive_mod(H, P)
+            if _divides(_join(C), f, P) and _divides(_join(C), g, P):
+                cont = _umul(cont, [pow(C[max(C)][-1], -1, P)], P)
+                return _join({m: _umul(row, cont, P) for m, row in C.items()})
+
+
+def _split(f):
+    """f as {exponents of the other variables: dense row in the last one}."""
+    out = {}
+    for m, c in f.items():
+        row = out.setdefault(m[:-1], [])
+        row.extend([0] * (m[-1] + 1 - len(row)))
+        row[m[-1]] = c
     return out
 
 
-def _uni_gcd_degree(a, b):
-    """Degree of the gcd of two dense univariate polynomials over Q (lists
-    from _image, leading coefficients nonzero), by Euclid's algorithm."""
+def _join(S):
+    return {m + (e,): c for m, row in S.items() for e, c in enumerate(row) if c}
+
+
+def _primitive_mod(S, P):
+    """Content in Z/P[last variable] and primitive part of the split S."""
+    content = reduce(lambda u, w: _ugcd(u, w, P), S.values())
+    return content, {m: _udivmod(row, content, P)[0] for m, row in S.items()}
+
+
+def _divides(d, f, P):
+    """True when d divides f over Z/P, by division in lex order."""
+    lm, f = max(d), dict(f)
+    inv = pow(d[lm], -1, P)
+    while f:
+        m = max(f)
+        if not mono_divides(lm, m):
+            return False
+        c, s = f[m] * inv % P, mono_div(m, lm)
+        for m2, c2 in d.items():
+            t = mono_mul(s, m2)
+            f[t] = (f.get(t, 0) - c * c2) % P
+            if not f[t]:
+                del f[t]
+    return True
+
+
+def _udivmod(a, b, P):
+    """Quotient and remainder over Z/P of dense univariate polynomials:
+    coefficient lists, constant term first, with a nonzero last entry."""
+    a, inv, n = a[:], pow(b[-1], -1, P), len(b) - 1
+    quo = [0] * max(len(a) - n, 0)
+    while len(a) > n:
+        s = len(a) - 1 - n
+        c = quo[s] = a.pop() * inv % P
+        for i in range(n):
+            a[s + i] = (a[s + i] - c * b[i]) % P
+    while a and not a[-1]:
+        a.pop()
+    return quo, a
+
+
+def _ugcd(a, b, P):
+    """Monic gcd, by Euclid's algorithm."""
     while b:
-        a = a[:]
-        lb, db = b[-1], len(b) - 1
-        while len(a) > db:
-            f = a.pop() / lb
-            s = len(a) - db
-            for i in range(db):
-                a[s + i] -= f * b[i]
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
+        a, b = b, _udivmod(a, b, P)[1]
+    inv = pow(a[-1], -1, P)
+    return [c * inv % P for c in a]
 
 
-def _gcd_inner(p, q):
-    if p.is_constant() or q.is_constant():
-        return Polynomial.constant(p.vars, 1, p.order)
-    present = set(p.variables_present()) | set(q.variables_present())
-    v = max(present)
-    if p.degree_in(v) == 0 or q.degree_in(v) == 0:
-        # one side is free of v: gcd divides its v-content
-        with_v, without_v = (p, q) if q.degree_in(v) == 0 else (q, p)
-        cont = _content_in(with_v, v)
-        return _gcd_inner(cont, without_v)
-    A = _to_univariate(p, v)
-    B = _to_univariate(q, v)
-    if _uni_degree(A) < _uni_degree(B):
-        A, B = B, A
-    contA = _poly_list_gcd(list(A.values()))
-    contB = _poly_list_gcd(list(B.values()))
-    A = {e: exact_div(c, contA) for e, c in A.items()}
-    B = {e: exact_div(c, contB) for e, c in B.items()}
-    d = _gcd_inner(contA, contB)
-    one = Polynomial.constant(p.vars, 1, p.order)
-    g = one
-    h = one
-    while True:
-        delta = _uni_degree(A) - _uni_degree(B)
-        R = _pseudo_rem(A, B)
-        if not R:
-            break
-        if _uni_degree(R) == 0:
-            return d
-        denom = g * h**delta
-        A = B
-        B = {e: exact_div(c, denom) for e, c in R.items()}
-        g = A[_uni_degree(A)]
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h = g
-        else:
-            h = exact_div(g**delta, h ** (delta - 1))
-    # gcd of primitive parts = primitive part of B
-    contB = _poly_list_gcd(list(B.values()))
-    Bp = {e: exact_div(c, contB) for e, c in B.items()}
-    return d * _from_univariate(Bp, v, p.vars, p.order)
+def _ueval(a, t, P):
+    """Value at t, by Horner's rule."""
+    return reduce(lambda v, c: (v * t + c) % P, reversed(a), 0)
 
 
-def _content_in(p, v):
-    return _poly_list_gcd(list(_to_univariate(p, v).values()))
-
-
-def _poly_list_gcd(polys):
-    g = polys[0]
-    for q in polys[1:]:
-        if g.is_constant():
-            break
-        g = _gcd_inner(g, q) if not q.is_constant() else Polynomial.constant(g.vars, 1, g.order)
-    if g.is_constant():
-        return Polynomial.constant(g.vars, 1, g.order)
-    return g.monic()  # a unit multiple; keeps rational sizes from compounding
+def _umul(a, b, P):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % P for c in out]
 
 
 def squarefree_part(p):
     """Monic product of the distinct irreducible factors of p (p nonzero).
 
     p divided by gcd(p, dp/dx_1, ..., dp/dx_n), taken one partial derivative
-    at a time with poly_gcd and stopped at the first constant gcd.  A
-    squarefree p ends on a coprime pair, which poly_gcd certifies from
-    univariate images; a repeated factor is found by the subresultant PRS.
+    at a time with poly_gcd and stopped at the first constant gcd.  Every
+    non-constant gcd is certified by trial division, and a squarefree p
+    ends on a pair that univariate images prove coprime.
     """
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial is undefined")

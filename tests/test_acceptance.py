@@ -233,7 +233,7 @@ def test_criterion_07_bound_dominates_exact_index():
         completed += 1
     elapsed = time.monotonic() - start
     assert completed >= 20
-    assert elapsed < 20.0
+    assert elapsed < 10.0
 
 
 def test_criterion_08_planar_depth_bound():

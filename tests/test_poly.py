@@ -1,6 +1,7 @@
 """Polynomial kernel: arithmetic, orders, parsing, printing."""
 
 import random
+import signal
 
 import pytest
 import sympy
@@ -17,7 +18,7 @@ from polyaccess import (
     VarTable,
     parse_polynomial,
 )
-from polyaccess.poly import _coprime_by_images, poly_gcd, squarefree_part
+from polyaccess.poly import _degree_bounds, _point, _prime, poly_gcd, squarefree_part
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -220,12 +221,9 @@ def from_sympy(expr, vars, syms):
 @st.composite
 def small_polys(draw, n):
     """Polynomial in n variables: two to four terms, small rational
-    coefficients, exponents up to 2, or up to 1 in three variables: there
-    the subresultant fallback takes over 30 s on some planted pairs with
-    exponents up to 2."""
-    top = 2 if n < 3 else 1
+    coefficients, exponents up to 2."""
     terms = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, top)] * n),
+        st.tuples(*[st.integers(0, 2)] * n),
         st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 3)),
         min_size=2, max_size=4))
     return {m: Q(a, b) for m, (a, b) in terms.items()}
@@ -248,6 +246,62 @@ def gcd_cases(draw):
     return V, a, b
 
 
+def gcd_within(a, b, seconds=20):
+    """poly_gcd(a, b), failing instead of hanging when no candidate ever
+    passes trial division."""
+    def expire(signum, frame):
+        raise TimeoutError(f"poly_gcd gave no certified result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return poly_gcd(a, b)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def ints(poly):
+    """Integer coefficients {exponent tuple: int} of an integer polynomial."""
+    return {m: int(c) for m, c in poly.coeffs.items()}
+
+
+SWEEP_PAIRS = (
+    (  # rnd252
+        'x1^3*x3^3 - 6*x1^2*x2*x3^3 + 9*x1*x2^2*x3^3 + 2*x1^2*x3^4 -'
+        ' 6*x1*x2*x3^4 + 9*x3^6 + 4*x1^3*x3^2 + 9/2*x1^2*x3^3 + 6*x1*x2*x3^3'
+        ' - 18*x2^2*x3^3 - 3*x1*x3^4 + 6*x2*x3^4 + 1/2*x3^5 - 3/2*x1^2*x2*x3'
+        ' - 8/3*x1^2*x3^2 + 2*x1*x2*x3^2 - 11*x1*x3^3 + 9/2*x2*x3^3 + 4*x3^4'
+        ' + 5/2*x1^2*x3 + 6*x1*x2*x3 - 4/3*x1*x3^2 + 5/3*x3^3 - 13/3*x1*x3 -'
+        ' 11/2*x2*x3 + 7/3*x3^2 + 3/2*x3',
+        '3*x1^2*x3^3 - 12*x1*x2*x3^3 + 9*x2^2*x3^3 + 4*x1*x3^4 - 6*x2*x3^4'
+        ' + 12*x1^2*x3^2 + 9*x1*x3^3 + 6*x2*x3^3 - 3*x3^4 - 3*x1*x2*x3 -'
+        ' 16/3*x1*x3^2 + 2*x2*x3^2 - 11*x3^3 + 5*x1*x3 + 6*x2*x3 - 4/3*x3^2'
+        ' - 13/3*x3',
+    ),
+    (  # rnd105
+        'x1*x2^4*x3^2 - 1/6*x1*x2^3*x3^3 - 3/4*x2^3*x3^4 -'
+        ' 7/6*x1^2*x2^2*x3^2 - 1/2*x1*x2^3*x3^2 + 1/6*x2^4*x3^2 +'
+        ' 1/4*x1^2*x2*x3^3 + 3/4*x2^3*x3^3 + 3/4*x1*x2*x3^4 + 1/6*x1*x2^3*x3'
+        ' + 1/2*x2^4*x3 + 5/4*x1*x2^2*x3^2 - 3/4*x1*x2*x3^3 + 1/3*x1*x2^2*x3'
+        ' - 7/4*x1^2*x3^2 - 3/4*x1*x2*x3^2 - 1/2*x1^2*x3 + 1/4*x1*x2*x3 +'
+        ' 3/4*x2^2*x3 + 1/4*x1*x3^2 + 3/4*x2*x3^2 - 1/4*x1*x3 - 3/4*x2*x3',
+        'x2^4*x3^2 - 1/6*x2^3*x3^3 - 7/3*x1*x2^2*x3^2 - 1/2*x2^3*x3^2 +'
+        ' 1/2*x1*x2*x3^3 + 3/4*x2*x3^4 + 1/6*x2^3*x3 + 5/4*x2^2*x3^2 -'
+        ' 3/4*x2*x3^3 + 1/3*x2^2*x3 - 7/2*x1*x3^2 - 3/4*x2*x3^2 - x1*x3 +'
+        ' 1/4*x2*x3 + 1/4*x3^2 - 1/4*x3',
+    ),
+    (  # rnd331
+        'x1^2*x2^2*x3^2 + 9/4*x2^2*x3^4 - 9/8*x1^2*x2^2*x3 +'
+        ' 3/4*x1*x2^2*x3^2 + 3*x1*x3^4 - 3/4*x2*x3^4 + x3^5 + 3/4*x1^2*x2*x3'
+        ' + 1/4*x1*x2*x3^2 - 27/8*x2^2*x3^2 - 1/2*x3^4 + 9/8*x1^2*x3 -'
+        ' 33/8*x1*x3^2 - 7/8*x2*x3^2 - 3/2*x3^3 + 9/4*x2*x3 + 3/4*x3^2 -'
+        ' 3/2*x3',
+        '2*x1*x2^2*x3^2 - 9/4*x1*x2^2*x3 + 3/4*x2^2*x3^2 + 3*x3^4 +'
+        ' 3/2*x1*x2*x3 + 1/4*x2*x3^2 + 9/4*x1*x3 - 33/8*x3^2',
+    ),
+)
+
+
 class TestGcdOracle:
     @settings(max_examples=80)
     @given(gcd_cases())
@@ -268,24 +322,75 @@ class TestGcdOracle:
         assert squarefree_part(a) == from_sympy(expected, V, syms).monic()
 
     def test_vanished_leading_coefficient(self):
-        """The x1-leading coefficient x2 - 8 of f vanishes at the first
-        image point (x1, x2, x3) = (3, 8, 15).  The next point certifies a
-        coprime pair, and a common factor f, whose image at the first point
-        is the constant 1, is still found."""
-        f, g = p("(x2 - 8)*x1 + 1"), p("x1 + x2")
-        assert _coprime_by_images(f, g)
-        assert poly_gcd(f, g) == p("1")
+        """The x1-leading coefficient x2 - t of f vanishes at the first image
+        point, where x2 = t.  The next point bounds the x1-degree of the gcd
+        by 0, which certifies a coprime pair; a common factor f, whose image
+        at the first point is constant, is still found."""
+        t = _point(1, 0)
+        f, g = p(f"(x2 - {t})*x1 + 1"), p("x1 + x2")
+        assert _degree_bounds(ints(f), ints(g), _prime(0)) == [0, 0, 0]
+        assert gcd_within(f, g) == p("1")
         a, b = f * p("x1 + 1"), f * p("x1 + 2")
-        assert not _coprime_by_images(a, b)
-        assert poly_gcd(a, b) == f.monic()
+        assert _degree_bounds(ints(a), ints(b), _prime(0))[0] == 1
+        assert gcd_within(a, b) == f.monic()
 
     def test_unlucky_image_point(self):
-        """x1 - x2 and x1 - 2*x2 + 8 agree at x2 = 8, so their images share
-        x1 - 8 though the pair is coprime: the PRS decides."""
-        f, g = p("x1 - x2"), p("x1 - 2*x2 + 8")
-        assert not _coprime_by_images(f, g)
-        assert poly_gcd(f, g) == p("1")
-        assert poly_gcd(f * g, g * g) == g
+        """x1 - x2 and x1 - 2*x2 + t agree at x2 = t, the first image point,
+        so their images there share x1 - t though the pair is coprime: the
+        image bound on the x1-degree is 1, and the modular gcd decides."""
+        f, g = p("x1 - x2"), p(f"x1 - 2*x2 + {_point(1, 0)}")
+        assert _degree_bounds(ints(f), ints(g), _prime(0)) == [1, 0, 0]
+        assert gcd_within(f, g) == p("1")
+
+    def test_unlucky_evaluation_points(self):
+        """f = x1 - x2 and g = x1 - 2*x2 + t agree at x2 = t, where the
+        images of f*g and g^2 have the gcd (x1 - t)^2.  With t the first
+        evaluation point of x2, that image is replaced by the next one; with
+        t the second, it is skipped."""
+        for j in (0, 1):
+            f, g = p("x1 - x2"), p(f"x1 - 2*x2 + {_point(1, j)}")
+            assert gcd_within(f * g, g * g) == g
+
+    def test_unlucky_prime(self):
+        """x1 + x2 + 1 and x1 + x2 + 1 + P are coprime but equal mod the
+        first prime P: its gcd is rejected by trial division, and the next
+        prime's leads lower."""
+        P = _prime(0)
+        h = p("x1 + x2")
+        assert gcd_within(p("x1 + x2 + 1"), p(f"x1 + x2 + 1 + {P}")) == p("1")
+        assert gcd_within(h * p("x1 + 1"), h * p(f"x1 + 1 + {P}")) == h
+
+    def test_integer_content_divisible_by_first_prime(self):
+        """Integer contents are divided out before reducing mod a prime."""
+        P = _prime(0)
+        assert gcd_within(p(f"{P}*(x1 + 1)*(x2 - 3)"), p("(x1 + 1)*(x1 - x2)")) == p("x1 + 1")
+        assert gcd_within(p(f"{P}*(x1 + 1)*(x2 - 3)"), p(f"{P}*(x1 + 1)*x3")) == p("x1 + 1")
+
+    def test_coefficients_beyond_one_prime(self):
+        """A gcd coefficient above the primes takes several of them."""
+        g = p(f"x1*x2 + {2**70 + 1}*x3 - {3**50}")
+        assert gcd_within(g * p("x1 - x3"), g * p("x2^2 + 1")) == g
+
+    def test_leading_coefficient_not_constant(self):
+        """The gcd x2*x1 + 1 leads with x2 in x1, and 3*x2*x1 + 2 with an
+        integer 3: both are found through the gamma scaling."""
+        for text in ("x2*x1 + 1", "3*x2*x1 + 2"):
+            g = p(text)
+            assert gcd_within(g * p("x1 + x2"), g * p("x1 - 2")) == g.monic()
+            assert gcd_within(g * p("x2 + x3"), g * g * p("x1*x3 - 1")) == g.monic()
+
+    def test_monomial_times_factor(self):
+        """A gcd x3*(x1 - x2): the monomial part from the contents, the
+        rest from the modular gcd."""
+        a, b = p("x3*(x1 - x2)*(x1 + 1)"), p("x3^2*(x1 - x2)*(x2 + 3)")
+        assert gcd_within(a, b) == p("x3*(x1 - x2)")
+
+    def test_sweep_pairs(self):
+        """Pairs from squarefree_part on the random systems rnd252, rnd105
+        and rnd331 of the exact index search: degree 6 to 7 in three
+        variables, gcd x3."""
+        for a, b in SWEEP_PAIRS:
+            assert gcd_within(p(a), p(b)) == p("x3")
 
     def test_no_shared_variable(self):
         """Polynomials in disjoint variables are coprime."""
