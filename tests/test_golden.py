@@ -1,0 +1,61 @@
+"""Golden output: `--format structured` of every command on the shipped demo
+systems, compared byte for byte with the files in tests/golden/.
+
+An intended output change regenerates the files with
+`PYTHONPATH=src python tests/test_golden.py` and shows up in their diff.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from polyaccess.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SYSTEMS = ROOT / "demos" / "systems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = ("index", "singular", "bound", "strong", "rank", "full")
+# state dimension for files without a rank-threshold, None for immersed files
+SYSTEM_DIMS = {"planar": 2, "circle3d": 3, "unicycle": None, "pendulum": None}
+
+
+def _cases():
+    for name, dim in SYSTEM_DIMS.items():
+        for command in COMMANDS + (("immerse",) if dim is None else ()):
+            extra = []
+            if command == "rank" and dim is not None:
+                extra = ["--l", str(dim)]
+            if command == "immerse":
+                extra = ["--check"]
+            yield name, command, extra
+
+
+CASES = list(_cases())
+
+
+def _run(name, command, extra):
+    argv = [command, str(SYSTEMS / f"{name}.sys"), "--format", "structured", *extra]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def _golden_path(name, command):
+    return GOLDEN / f"{name}_{command}.json"
+
+
+@pytest.mark.parametrize("name, command, extra", CASES,
+                         ids=[f"{name}-{command}" for name, command, _ in CASES])
+def test_structured_output(name, command, extra):
+    assert _run(name, command, extra) == _golden_path(name, command).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, command, extra in CASES:
+        _golden_path(name, command).write_text(_run(name, command, extra))
