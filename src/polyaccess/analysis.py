@@ -4,7 +4,8 @@ accessibility, and restricted-rank singular loci."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import wraps
 from random import Random
 from typing import NamedTuple
 
@@ -16,8 +17,8 @@ from .ideals import (
     is_invariant,
     real_radical_restricted,
 )
-from .minors import build_matrix, generic_rank, minor_ideal, rational_rank, reduce_columns
-from .modules import stabilize_chain
+from .minors import adjoin_columns, build_matrix, generic_rank, minor_ideal, rational_rank
+from .modules import depth_cap, stabilize_chain
 from .rationals import Q
 from .vectorfields import BracketFamily, extend_family
 
@@ -97,324 +98,325 @@ def planar_depth_bound(degree):
     return 6 * degree * degree - 2 * degree + 2
 
 
-def _planar_bound_for(system):
-    if system.dimension != 2:
-        return None
-    return planar_depth_bound(max(system_degree(system), 1))
+def _once(method):
+    """Compute a session method once per argument tuple.  A CapReached is
+    kept as well and raised again, so a capped computation is not rerun."""
+
+    @wraps(method)
+    def cached(self, *args):
+        key = (method.__name__,) + args
+        if key not in self._memo:
+            try:
+                self._memo[key] = (method(self, *args), None)
+            except CapReached as e:
+                self._memo[key] = (None, e)
+        result, error = self._memo[key]
+        if error is not None:
+            raise error
+        return result
+
+    return cached
 
 
-def _family_to_depth(system, mode, depth):
-    fam = BracketFamily.initial(system, mode)
-    for _ in range(depth):
-        fam = extend_family(fam)
-    return fam
+class AnalysisSession:
+    """Every analysis of one system at one seed and one depth cap.
+
+    The routes share their work: each mode's bracket family is extended in
+    place and its columns reduced one generation at a time, and the generic
+    test, minor ideals, module chain, index search and invariant closure are
+    each computed on first use and kept.  Routes that build on one another
+    (strong on the index search, the index search on the closure) read the
+    same objects.
+    """
+
+    def __init__(self, system, max_depth=None, seed=0):
+        self.system = system
+        self.seed = seed
+        self.max_depth = depth_cap(system, max_depth)
+        self.planar_bound = (planar_depth_bound(max(system_degree(system), 1))
+                             if system.dimension == 2 else None)
+        self._families = {}  # mode -> family at the deepest depth asked for
+        self._memo = {}
+
+    def family(self, mode, depth):
+        fam = self._families.get(mode)
+        if fam is None:
+            fam = BracketFamily.initial(self.system, mode)
+        while fam.depth < depth:
+            fam = extend_family(fam)
+        self._families[mode] = fam
+        return fam
+
+    def _family_size(self, mode, depth):
+        return len(self.family(mode, depth).members(depth))
+
+    @_once
+    def _columns(self, mode, depth):
+        """Reduced columns of the depth-`depth` family and the module they
+        span (None when there are none).  Each generation is reduced against
+        the module of the depths before it, which gives the same columns as
+        reducing the whole family in one pass."""
+        cols, module = ((), None) if depth == 0 else self._columns(mode, depth - 1)
+        kept, module = adjoin_columns(self.family(mode, depth).generations[depth], module)
+        return cols + kept, module
+
+    @_once
+    def matrix(self, mode, depth):
+        """Bracket matrix at depth `depth`; None for an empty family."""
+        cols, _ = self._columns(mode, depth)
+        return build_matrix(cols) if cols else None
+
+    @_once
+    def chain(self, mode):
+        return stabilize_chain(self.system, mode, self.max_depth)
+
+    @_once
+    def limit_matrix(self, mode):
+        return build_matrix(self.chain(mode).columns)
+
+    @_once
+    def limit_rank(self, mode):
+        return generic_rank(self.limit_matrix(mode), seed=self.seed,
+                            module=self.chain(mode).module).rank
+
+    @_once
+    def minors(self, mode, depth, size):
+        """Ideal of the size x size minors at depth `depth`, or of the chain
+        limit when depth is None."""
+        M = self.limit_matrix(mode) if depth is None else self.matrix(mode, depth)
+        return minor_ideal(M, size)
+
+    def _report(self, mode, route, singular, kind=INDEX_UNDECIDED, value=None,
+                trace=(), rank=None, **extra):
+        # rank defaults to full, which every route reaches past the generic test
+        n = self.system.dimension
+        rank = n if rank is None else rank
+        return AnalysisReport(
+            mode=mode,
+            route=route,
+            generic_rank=rank,
+            verdict=VERDICT_GENERIC if rank == n else VERDICT_NOWHERE,
+            singular_ideal=singular,
+            index_kind=kind,
+            index_value=value,
+            chain_trace=tuple(trace),
+            planar_depth_bound=self.planar_bound,
+            **extra,
+        )
+
+    def _nowhere(self, mode, route, gt):
+        # rank below n on a dense open set means rank below n everywhere, so
+        # the singular locus is the whole space: the zero ideal cuts it out
+        return self._report(mode, route, Ideal(self.system.vars, ()), trace=gt.records,
+                            rank=gt.rank,
+                            notes=("generic rank below the state dimension; every point is singular",))
+
+    @_once
+    def generic(self, mode):
+        """Generic rank of the depth-(n-1) bracket family, with early exit the
+        moment the rank reaches the state dimension.  An empty family (all
+        fields zero) has rank 0."""
+        n = self.system.dimension
+        records = []
+        best = 0
+        for depth in range(n):
+            M = self.matrix(mode, depth)
+            rank = 0 if M is None else generic_rank(
+                M, seed=self.seed, module=self._columns(mode, depth)[1]).rank
+            best = max(best, rank)
+            records.append(ChainRecord(depth=depth, family_size=self._family_size(mode, depth),
+                                       generic_rank=rank))
+            if rank == n:
+                return GenericTestResult(mode, n, VERDICT_GENERIC, depth, depth, tuple(records))
+        return GenericTestResult(mode, best, VERDICT_NOWHERE, n - 1, None, tuple(records))
+
+    @_once
+    def _index_search(self, mode):
+        # the search from k*; an unsupported radical ends it with the index
+        # undecided and no singular ideal
+        n = self.system.dimension
+        gt = self.generic(mode)
+        ops = self.system.operators()
+        trace = list(gt.records)
+        for k in range(gt.k_star, self.max_depth + 1):
+            I_k = self.minors(mode, k, n)
+            rr = real_radical_restricted(I_k)
+            record = ChainRecord(depth=k, family_size=self._family_size(mode, k),
+                                 minor_generators=I_k.groebner_basis())
+            trace.append(record)
+            if isinstance(rr, Unsupported):
+                record.radical_status = rr.reason
+                return self._report(
+                    mode, ROUTE_EXACT, None, trace=trace, matrix=self.matrix(mode, k),
+                    notes=(f"real radical unsupported at depth {k}: {rr.reason}",))
+            record.radical_status = "supported"
+            inv = is_invariant(rr, ops)
+            if inv.invariant:
+                kind = INDEX_EXACT_R if mode == "accessibility" else INDEX_EXACT_L
+                return self._report(mode, ROUTE_EXACT, rr, kind, k, trace,
+                                    matrix=self.matrix(mode, k))
+            record.invariance_witness = (
+                f"L along {inv.field_label} of {inv.generator} leaves the ideal "
+                f"(residue {inv.residue})"
+            )
+        raise CapReached("exact index search", self.max_depth)
+
+    def index(self, mode, auto_route=True):
+        """Smallest depth whose singular set already equals the limit set,
+        found by testing the restricted real radical of each minor ideal for
+        invariance.  An unsupported radical leaves the index undecided; the
+        singular set then comes from the invariant closure when auto_route
+        is set, and the trace goes on with the closure rounds."""
+        gt = self.generic(mode)
+        if gt.verdict != VERDICT_GENERIC:
+            return self._nowhere(mode, ROUTE_EXACT, gt)
+        report = self._index_search(mode)
+        if report.singular_ideal is not None or not auto_route:
+            return report
+        singular, rounds, _ = self._closure(mode)
+        return replace(
+            report,
+            route=ROUTE_CLOSURE,
+            singular_ideal=singular,
+            chain_trace=report.chain_trace + rounds,
+            notes=report.notes + ("index undecided; singular set computed by invariant closure",),
+            matrix=self._closure_matrix(mode),
+        )
+
+    @_once
+    def _closure(self, mode):
+        # the closure route's singular ideal, its round records and its note
+        q = self.generic(mode).k_star
+        I_q = self.minors(mode, q, self.system.dimension)
+        if not I_q.is_proper():
+            return I_q, (), ("minor ideal improper: no real point drops rank; empty singular set",)
+        result = invariant_closure(I_q, self.system.operators(), max_rounds=self.max_depth * 8)
+        rounds = tuple(
+            ChainRecord(depth=q, minor_generators=tuple(added), invariance_witness=f"closure round {i}")
+            for i, added in enumerate(result.rounds, start=1)
+        )
+        return result.ideal, rounds, (
+            f"invariant closure stabilized after {len(result.rounds)} enlargement rounds",)
+
+    def _closure_matrix(self, mode):
+        # the singular ideal describes the limit locus, so the matrix shipped
+        # for sampling must realize the limit distribution, not the depth-q
+        # family: the stabilized module columns span the limit fiber pointwise
+        try:
+            return self.limit_matrix(mode)
+        except CapReached:
+            return None
+
+    def closure(self, mode):
+        """Singular set as the variety of the invariant closure of the minor
+        ideal at the first full-generic-rank depth; makes no index claim."""
+        gt = self.generic(mode)
+        if gt.verdict != VERDICT_GENERIC:
+            return self._nowhere(mode, ROUTE_CLOSURE, gt)
+        q = gt.k_star
+        head = ChainRecord(depth=q, family_size=self._family_size(mode, q),
+                           minor_generators=self.minors(mode, q, self.system.dimension).groebner_basis())
+        singular, rounds, notes = self._closure(mode)
+        return self._report(mode, ROUTE_CLOSURE, singular, trace=gt.records + (head,) + rounds,
+                            notes=notes, matrix=self._closure_matrix(mode))
+
+    def bound(self, mode):
+        """Upper bound on the index from the stabilized module chain; the
+        minor ideal of the stabilized columns cuts out the limit singular set."""
+        n = self.system.dimension
+        chain = self.chain(mode)
+        rank = self.limit_rank(mode)
+        singular = self.minors(mode, None, n) if rank == n else Ideal(self.system.vars, ())
+        trace = [ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen),
+                             module_gb_size=chain.basis_sizes[depth])
+                 for depth, gen in enumerate(chain.rounds)]
+        return self._report(mode, ROUTE_MODULE, singular, _bound_kind(mode), chain.r_hat, trace,
+                            rank=rank, matrix=self.limit_matrix(mode))
+
+    def rank_l(self, mode, l):
+        """Locus where the bracket family's rank stays below l, taken at the
+        stabilized module chain (the chain limit makes this the depth-infinity
+        locus, not just a finite-depth one)."""
+        n = self.system.dimension
+        if not 1 <= l <= n:
+            raise ValueError(f"rank threshold {l} outside 1..{n}")
+        chain = self.chain(mode)
+        M = self.limit_matrix(mode)
+        rank = self.limit_rank(mode)
+        singular = (self.minors(mode, None, l) if min(M.nrows, M.ncols) >= l
+                    else Ideal(self.system.vars, ()))
+        trace = [ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen))
+                 for depth, gen in enumerate(chain.rounds)]
+        return self._report(mode, ROUTE_RANK_L, singular, _bound_kind(mode), chain.r_hat, trace,
+                            rank=rank, threshold=l, matrix=M)
+
+    def strong(self):
+        """Strong accessibility: strong-mode generic test and index, with the
+        singular set shared with the plain analysis (the two limit sets agree
+        wherever the strong generic test passes)."""
+        gt = self.generic("strong")
+        if gt.verdict != VERDICT_GENERIC:
+            return self._nowhere("strong", ROUTE_EXACT, gt)
+        plain = self.index("accessibility")
+        strong = self.index("strong", auto_route=False)
+        chain = self.chain("strong")
+        notes = [
+            "strong singular set taken from the accessibility analysis; the two "
+            "limit sets coincide under generic strong accessibility",
+            f"module-chain bound l-hat = {chain.r_hat}",
+        ]
+        if strong.index_kind == INDEX_EXACT_L:
+            index_kind, index_value, route = INDEX_EXACT_L, strong.index_value, strong.route
+            if plain.index_kind == INDEX_EXACT_R:
+                lo, hi = plain.index_value, plain.index_value + 1
+                notes.append(
+                    f"strong index {strong.index_value} vs accessibility index "
+                    f"{plain.index_value}: expected in {{{lo}, {hi}}}"
+                )
+            singular = strong.singular_ideal
+        else:
+            index_kind, index_value, route = INDEX_BOUND_L, chain.r_hat, ROUTE_MODULE
+            singular = plain.singular_ideal
+        return self._report(
+            "strong", route, singular, index_kind, index_value, strong.chain_trace,
+            notes=tuple(notes),
+            matrix=strong.matrix if strong.matrix is not None else plain.matrix,
+        )
 
 
-def _matrix_for(fam, depth=None):
-    cols = reduce_columns(fam.members(depth))
-    return build_matrix(cols)
+def _bound_kind(mode):
+    return INDEX_BOUND_R if mode == "accessibility" else INDEX_BOUND_L
 
 
 def generic_test(system, mode="accessibility", seed=0):
-    """Generic rank of the depth-(n-1) bracket family, with early exit the
-    moment the rank reaches the state dimension."""
-    n = system.dimension
-    fam = BracketFamily.initial(system, mode)
-    records = []
-    rank = 0
-    for depth in range(n):
-        M = _matrix_for(fam)
-        gr = generic_rank(M, seed=seed)
-        rank = max(rank, gr.rank)
-        records.append(
-            ChainRecord(depth=depth, family_size=len(fam.members()), generic_rank=gr.rank)
-        )
-        if gr.rank == n:
-            return GenericTestResult(mode, n, VERDICT_GENERIC, depth, depth, tuple(records))
-        if depth < n - 1:
-            fam = extend_family(fam)
-    return GenericTestResult(mode, rank, VERDICT_NOWHERE, n - 1, None, tuple(records))
-
-
-def _nowhere_report(system, mode, route, gt):
-    # rank below n on a dense open set means rank below n everywhere, so the
-    # singular locus is the whole space: the zero ideal cuts it out
-    return AnalysisReport(
-        mode=mode,
-        route=route,
-        generic_rank=gt.rank,
-        verdict=gt.verdict,
-        singular_ideal=Ideal(system.vars, ()),
-        index_kind=INDEX_UNDECIDED,
-        index_value=None,
-        chain_trace=gt.records,
-        planar_depth_bound=_planar_bound_for(system),
-        notes=("generic rank below the state dimension; every point is singular",),
-    )
+    """Generic rank test in a fresh session; see AnalysisSession.generic."""
+    return AnalysisSession(system, seed=seed).generic(mode)
 
 
 def exact_index_analysis(system, mode="accessibility", max_depth=None, seed=0,
                          auto_route=True):
-    """Smallest depth whose singular set already equals the limit set, found
-    by testing the restricted real radical of each minor ideal for
-    invariance.  An unsupported radical leaves the index undecided; the
-    singular set then comes from the invariant-closure route when
-    auto_route is set."""
-    n = system.dimension
-    if max_depth is None:
-        max_depth = max(2 * n, 8)
-    gt = generic_test(system, mode, seed)
-    if gt.verdict != VERDICT_GENERIC:
-        return _nowhere_report(system, mode, ROUTE_EXACT, gt)
-    exact_kind = INDEX_EXACT_R if mode == "accessibility" else INDEX_EXACT_L
-    ops = system.operators()
-    trace = list(gt.records)
-    fam = _family_to_depth(system, mode, gt.k_star)
-    k = gt.k_star
-    while k <= max_depth:
-        M = _matrix_for(fam)
-        I_k = minor_ideal(M, n)
-        rr = real_radical_restricted(I_k)
-        if isinstance(rr, Unsupported):
-            trace.append(
-                ChainRecord(
-                    depth=k,
-                    family_size=len(fam.members()),
-                    minor_generators=I_k.groebner_basis(),
-                    radical_status=rr.reason,
-                )
-            )
-            notes = (
-                f"real radical unsupported at depth {k}: {rr.reason}",
-                "index undecided; singular set computed by invariant closure",
-            )
-            if not auto_route:
-                return AnalysisReport(
-                    mode=mode,
-                    route=ROUTE_EXACT,
-                    generic_rank=n,
-                    verdict=VERDICT_GENERIC,
-                    singular_ideal=None,
-                    index_kind=INDEX_UNDECIDED,
-                    index_value=None,
-                    chain_trace=tuple(trace),
-                    planar_depth_bound=_planar_bound_for(system),
-                    notes=notes[:1],
-                    matrix=M,
-                )
-            closure = closure_singular_analysis(system, mode, max_depth, seed)
-            return AnalysisReport(
-                mode=mode,
-                route=ROUTE_CLOSURE,
-                generic_rank=n,
-                verdict=VERDICT_GENERIC,
-                singular_ideal=closure.singular_ideal,
-                index_kind=INDEX_UNDECIDED,
-                index_value=None,
-                chain_trace=tuple(trace) + closure.chain_trace,
-                planar_depth_bound=_planar_bound_for(system),
-                notes=notes,
-                matrix=closure.matrix,
-            )
-        inv = is_invariant(rr, ops)
-        record = ChainRecord(
-            depth=k,
-            family_size=len(fam.members()),
-            minor_generators=I_k.groebner_basis(),
-            radical_status="supported",
-        )
-        if inv.invariant:
-            trace.append(record)
-            return AnalysisReport(
-                mode=mode,
-                route=ROUTE_EXACT,
-                generic_rank=n,
-                verdict=VERDICT_GENERIC,
-                singular_ideal=rr,
-                index_kind=exact_kind,
-                index_value=k,
-                chain_trace=tuple(trace),
-                planar_depth_bound=_planar_bound_for(system),
-                matrix=M,
-            )
-        record.invariance_witness = (
-            f"L along {inv.field_label} of {inv.generator} leaves the ideal "
-            f"(residue {inv.residue})"
-        )
-        trace.append(record)
-        fam = extend_family(fam)
-        k += 1
-    raise CapReached("exact index search", max_depth)
+    """Exact index search in a fresh session; see AnalysisSession.index."""
+    return AnalysisSession(system, max_depth, seed).index(mode, auto_route)
 
 
 def closure_singular_analysis(system, mode="accessibility", max_depth=None, seed=0):
-    """Singular set as the variety of the invariant closure of the minor
-    ideal at the first full-generic-rank depth; makes no index claim."""
-    n = system.dimension
-    if max_depth is None:
-        max_depth = max(2 * n, 8)
-    gt = generic_test(system, mode, seed)
-    if gt.verdict != VERDICT_GENERIC:
-        return _nowhere_report(system, mode, ROUTE_CLOSURE, gt)
-    q = gt.k_star
-    fam = _family_to_depth(system, mode, q)
-    M = _matrix_for(fam)
-    I_q = minor_ideal(M, n)
-    # the singular ideal describes the limit locus, so the matrix shipped for
-    # sampling must realize the limit distribution, not the depth-q family:
-    # the stabilized module columns span exactly the limit fiber pointwise
-    try:
-        M_limit = build_matrix(stabilize_chain(system, mode, max_depth).columns)
-    except CapReached:
-        M_limit = None
-    trace = list(gt.records)
-    notes = ()
-    if not I_q.is_proper():
-        singular = I_q
-        notes = ("minor ideal improper: no real point drops rank; empty singular set",)
-        trace.append(
-            ChainRecord(depth=q, family_size=len(fam.members()),
-                        minor_generators=I_q.groebner_basis())
-        )
-    else:
-        result = invariant_closure(I_q, system.operators(), max_rounds=max_depth * 8)
-        singular = result.ideal
-        trace.append(
-            ChainRecord(depth=q, family_size=len(fam.members()),
-                        minor_generators=I_q.groebner_basis())
-        )
-        for i, added in enumerate(result.rounds, start=1):
-            trace.append(
-                ChainRecord(depth=q, radical_status=None,
-                            minor_generators=tuple(added),
-                            invariance_witness=f"closure round {i}")
-            )
-        notes = (f"invariant closure stabilized after {len(result.rounds)} "
-                 f"enlargement rounds",)
-    return AnalysisReport(
-        mode=mode,
-        route=ROUTE_CLOSURE,
-        generic_rank=n,
-        verdict=VERDICT_GENERIC,
-        singular_ideal=singular,
-        index_kind=INDEX_UNDECIDED,
-        index_value=None,
-        chain_trace=tuple(trace),
-        planar_depth_bound=_planar_bound_for(system),
-        notes=notes,
-        matrix=M_limit,
-    )
+    """Invariant-closure singular set in a fresh session; see AnalysisSession.closure."""
+    return AnalysisSession(system, max_depth, seed).closure(mode)
 
 
 def bound_analysis(system, mode="accessibility", max_depth=None, seed=0):
-    """Upper bound on the index from the stabilized module chain; the minor
-    ideal of the stabilized columns cuts out the limit singular set."""
-    n = system.dimension
-    chain = stabilize_chain(system, mode, max_depth)
-    M = build_matrix(chain.columns)
-    gr = generic_rank(M, seed=seed, module=chain.module)
-    verdict = VERDICT_GENERIC if gr.rank == n else VERDICT_NOWHERE
-    singular = minor_ideal(M, n) if gr.rank == n else Ideal(system.vars, ())
-    trace = []
-    for depth, gen in enumerate(chain.rounds):
-        trace.append(
-            ChainRecord(
-                depth=depth,
-                retained_labels=tuple(v.label for v in gen),
-                module_gb_size=chain.basis_sizes[depth],
-            )
-        )
-    kind = INDEX_BOUND_R if mode == "accessibility" else INDEX_BOUND_L
-    notes = ()
-    if verdict == VERDICT_NOWHERE:
-        notes = ("generic rank below the state dimension; every point is singular",)
-    return AnalysisReport(
-        mode=mode,
-        route=ROUTE_MODULE,
-        generic_rank=gr.rank,
-        verdict=verdict,
-        singular_ideal=singular,
-        index_kind=kind,
-        index_value=chain.r_hat,
-        chain_trace=tuple(trace),
-        planar_depth_bound=_planar_bound_for(system),
-        matrix=M,
-    )
+    """Module-chain bound in a fresh session; see AnalysisSession.bound."""
+    return AnalysisSession(system, max_depth, seed).bound(mode)
 
 
 def rank_l_analysis(system, l, mode="accessibility", max_depth=None, seed=0):
-    """Locus where the bracket family's rank stays below l, taken at the
-    stabilized module chain (the chain limit makes this the depth-infinity
-    locus, not just a finite-depth one)."""
-    n = system.dimension
-    if not 1 <= l <= n:
-        raise ValueError(f"rank threshold {l} outside 1..{n}")
-    chain = stabilize_chain(system, mode, max_depth)
-    M = build_matrix(chain.columns)
-    gr = generic_rank(M, seed=seed, module=chain.module)
-    singular = minor_ideal(M, l) if min(M.nrows, M.ncols) >= l else Ideal(system.vars, ())
-    trace = [
-        ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen))
-        for depth, gen in enumerate(chain.rounds)
-    ]
-    kind = INDEX_BOUND_R if mode == "accessibility" else INDEX_BOUND_L
-    return AnalysisReport(
-        mode=mode,
-        route=ROUTE_RANK_L,
-        generic_rank=gr.rank,
-        verdict=VERDICT_GENERIC if gr.rank == n else VERDICT_NOWHERE,
-        singular_ideal=singular,
-        index_kind=kind,
-        index_value=chain.r_hat,
-        chain_trace=tuple(trace),
-        threshold=l,
-        planar_depth_bound=_planar_bound_for(system),
-        matrix=M,
-    )
+    """Rank-below-l locus in a fresh session; see AnalysisSession.rank_l."""
+    return AnalysisSession(system, max_depth, seed).rank_l(mode, l)
 
 
 def strong_analysis(system, max_depth=None, seed=0):
-    """Strong accessibility: strong-mode generic test and index, with the
-    singular set shared with the plain analysis (the two limit sets agree
-    wherever the strong generic test passes)."""
-    n = system.dimension
-    gt = generic_test(system, "strong", seed)
-    if gt.verdict != VERDICT_GENERIC:
-        report = _nowhere_report(system, "strong", ROUTE_EXACT, gt)
-        return report
-    plain = exact_index_analysis(system, "accessibility", max_depth, seed)
-    strong = exact_index_analysis(system, "strong", max_depth, seed, auto_route=False)
-    chain = stabilize_chain(system, "strong", max_depth)
-    notes = [
-        "strong singular set taken from the accessibility analysis; the two "
-        "limit sets coincide under generic strong accessibility",
-        f"module-chain bound l-hat = {chain.r_hat}",
-    ]
-    if strong.index_kind == INDEX_EXACT_L:
-        index_kind, index_value = INDEX_EXACT_L, strong.index_value
-        if plain.index_kind == INDEX_EXACT_R:
-            lo, hi = plain.index_value, plain.index_value + 1
-            notes.append(
-                f"strong index {strong.index_value} vs accessibility index "
-                f"{plain.index_value}: expected in {{{lo}, {hi}}}"
-            )
-        singular = strong.singular_ideal
-    else:
-        index_kind, index_value = INDEX_BOUND_L, chain.r_hat
-        singular = plain.singular_ideal
-    return AnalysisReport(
-        mode="strong",
-        route=strong.route if strong.index_kind == INDEX_EXACT_L else ROUTE_MODULE,
-        generic_rank=n,
-        verdict=VERDICT_GENERIC,
-        singular_ideal=singular,
-        index_kind=index_kind,
-        index_value=index_value,
-        chain_trace=strong.chain_trace,
-        planar_depth_bound=_planar_bound_for(system),
-        notes=tuple(notes),
-        matrix=strong.matrix if strong.matrix is not None else plain.matrix,
-    )
+    """Strong accessibility in a fresh session; see AnalysisSession.strong."""
+    return AnalysisSession(system, max_depth, seed).strong()
 
 
 class SampleDiagnostics(NamedTuple):

@@ -14,11 +14,7 @@ from .analysis import (
     INDEX_EXACT_L,
     INDEX_EXACT_R,
     INDEX_UNDECIDED,
-    bound_analysis,
-    closure_singular_analysis,
-    exact_index_analysis,
-    rank_l_analysis,
-    strong_analysis,
+    AnalysisSession,
 )
 from .errors import CapReached, ClosureError, ParseError
 from .immersion import pull_back_singular, vanishing_coordinates, verify_immersion
@@ -238,24 +234,25 @@ def _entry_text(imap, j, alias):
     return str(e.expr.map_vars(alias, identity))
 
 
-def _immersion_lines(parsed, check):
+def _immersion_section(parsed, check):
+    """Text lines and document of the immersion, verified once."""
     imap = parsed.immersion
-    src = parsed.source_vars
     alias = parsed.parse_vars
     identity = list(range(len(imap.target_vars)))
+    n = len(parsed.source_vars)
+    entries = {imap.target_vars.names[j]: _entry_text(imap, j, alias)
+               for j in range(n, len(imap.target_vars))}
+    relations = [r.map_vars(alias, identity) for r in imap.relation_generators()]
+    sys_ = parsed.system
+    result = verify_immersion(parsed.analytic, parsed.immersed)
     lines = ["immersion:"]
     lines.append("  targets: " + " ".join(imap.target_vars.names))
-    n = len(src)
-    for j in range(n, len(imap.target_vars)):
-        lines.append(f"  {imap.target_vars.names[j]} = {_entry_text(imap, j, alias)}")
-    for rel in imap.relation_generators():
-        lines.append(f"  relation: {rel.map_vars(alias, identity)}")
-    sys_ = parsed.system
+    lines.extend(f"  {name} = {text}" for name, text in entries.items())
+    lines.extend(f"  relation: {rel}" for rel in relations)
     lines.append("lifted system:")
     lines.append("  drift: " + ", ".join(str(c) for c in sys_.drift.components))
     for g in sys_.inputs:
         lines.append(f"  input {g.label}: " + ", ".join(str(c) for c in g.components))
-    result = verify_immersion(parsed.analytic, parsed.immersed)
     if result.ok:
         lines.append("verification: ok (fields tangent to the relation variety; "
                      "pushforward matches the lift)")
@@ -270,28 +267,12 @@ def _immersion_lines(parsed, check):
             labels = ", ".join(f.label for f in fields)
             lines.append(f"  certificate: L_X({rel}) lies in the relation ideal "
                          f"for X in {{{labels}}}")
-    return lines, result
-
-
-def _immersion_doc(parsed):
-    imap = parsed.immersion
-    src = parsed.source_vars
-    alias = parsed.parse_vars
-    identity = list(range(len(imap.target_vars)))
-    n = len(src)
-    result = verify_immersion(parsed.analytic, parsed.immersed)
     doc = {
         "targets": list(imap.target_vars.names),
-        "entries": {
-            imap.target_vars.names[j]: _entry_text(imap, j, alias)
-            for j in range(n, len(imap.target_vars))
-        },
-        "relations": [str(r.map_vars(alias, identity))
-                      for r in imap.relation_generators()],
-        "lifted_drift": [str(c) for c in parsed.system.drift.components],
-        "lifted_inputs": {
-            g.label: [str(c) for c in g.components] for g in parsed.system.inputs
-        },
+        "entries": entries,
+        "relations": [str(r) for r in relations],
+        "lifted_drift": [str(c) for c in sys_.drift.components],
+        "lifted_inputs": {g.label: [str(c) for c in g.components] for g in sys_.inputs},
         "verified": result.ok,
     }
     if not result.ok:
@@ -301,7 +282,7 @@ def _immersion_doc(parsed):
             "field": result.field_label,
             "residue": str(result.residue),
         }
-    return doc
+    return lines, doc
 
 
 def _rank_threshold(parsed, args):
@@ -313,93 +294,78 @@ def _rank_threshold(parsed, args):
     return l
 
 
+def _report_section(report, system, verdict_note=None):
+    return _report_lines(report, system, verdict_note), _report_doc(report, system)
+
+
+def _rank_section(parsed, session, l):
+    report = session.rank_l(parsed.options["mode"], l)
+    if parsed.immersed is None:
+        return _report_section(report, parsed.system)
+    lines, doc = _report_section(
+        report, parsed.system,
+        "the lifted system; the pull-back below settles the source")
+    pull, vanish = _pull_back(parsed, report)
+    lines.extend(_pull_back_lines(parsed, report, pull, vanish))
+    doc["pull_back"] = _pull_back_doc(pull, vanish)
+    return lines, doc
+
+
+_ROUTES = {
+    "index": AnalysisSession.index,
+    "singular": AnalysisSession.closure,
+    "bound": AnalysisSession.bound,
+    "strong": lambda session, mode: session.strong(),
+}
+
+
 def _run_command(parsed, args):
-    """Returns (text_lines, doc). Raises CapReached when a depth cap stops
-    the analysis before any result."""
+    """Returns (text_lines, doc); every analysis of the run shares one
+    session.  Raises CapReached when a depth cap stops the analysis before
+    any result."""
     opts = parsed.options
-    system = parsed.system
-    mode = opts["mode"]
-    seed = opts["seed"]
-    depth = opts["max-depth"]
+    session = AnalysisSession(parsed.system, opts["max-depth"], opts["seed"])
     command = args.command
     doc = {"schema": 1, "command": command, "system": parsed.name}
-    if command == "index":
-        report = exact_index_analysis(system, mode, max_depth=depth, seed=seed)
-        return _report_lines(report, system), {**doc, **_report_doc(report, system)}
-    if command == "singular":
-        report = closure_singular_analysis(system, mode, max_depth=depth, seed=seed)
-        return _report_lines(report, system), {**doc, **_report_doc(report, system)}
-    if command == "bound":
-        report = bound_analysis(system, mode, max_depth=depth, seed=seed)
-        return _report_lines(report, system), {**doc, **_report_doc(report, system)}
-    if command == "strong":
-        report = strong_analysis(system, max_depth=depth, seed=seed)
-        return _report_lines(report, system), {**doc, **_report_doc(report, system)}
+    if command in _ROUTES:
+        report = _ROUTES[command](session, opts["mode"])
+        lines, rdoc = _report_section(report, parsed.system)
+        return lines, {**doc, **rdoc}
     if command == "rank":
         l = _rank_threshold(parsed, args)
         if l is None:
             raise ParseError("rank needs a threshold: pass --l or set the "
                              "rank-threshold option", 1, 1)
-        report = rank_l_analysis(system, l, mode, max_depth=depth, seed=seed)
-        note = "the lifted system; the pull-back below settles the source" \
-            if parsed.immersed is not None else None
-        lines = _report_lines(report, system, verdict_note=note)
-        rdoc = _report_doc(report, system)
-        if parsed.immersed is not None:
-            pull, vanish = _pull_back(parsed, report)
-            lines.extend(_pull_back_lines(parsed, report, pull, vanish))
-            rdoc["pull_back"] = _pull_back_doc(pull, vanish)
+        lines, rdoc = _rank_section(parsed, session, l)
         return lines, {**doc, **rdoc}
     if command == "immerse":
         if parsed.immersion is None:
             raise ParseError("the file declares no immersion block", 1, 1)
-        lines, _result = _immersion_lines(parsed, args.check)
-        return lines, {**doc, "immersion": _immersion_doc(parsed)}
+        lines, doc["immersion"] = _immersion_section(parsed, args.check)
+        return lines, doc
     if command == "full":
-        return _run_full(parsed, args, doc)
+        return _run_full(parsed, args, session, doc)
     raise AssertionError(command)
 
 
-def _run_full(parsed, args, doc):
-    opts = parsed.options
-    system = parsed.system
-    mode = opts["mode"]
-    seed = opts["seed"]
-    depth = opts["max-depth"]
+def _run_full(parsed, args, session, doc):
+    """The immersion, then the index, bound, strong and rank sections."""
     lines = []
     if parsed.immersion is not None:
-        ilines, _ = _immersion_lines(parsed, check=False)
-        lines.extend(ilines)
-        lines.append("")
-        doc["immersion"] = _immersion_doc(parsed)
-    index_report = exact_index_analysis(system, mode, max_depth=depth, seed=seed)
-    lines.append("== index ==")
-    lines.extend(_report_lines(index_report, system))
-    doc["index"] = _report_doc(index_report, system)
-    bound_report = bound_analysis(system, mode, max_depth=depth, seed=seed)
-    lines.append("")
-    lines.append("== bound ==")
-    lines.extend(_report_lines(bound_report, system))
-    doc["bound"] = _report_doc(bound_report, system)
-    strong_report = strong_analysis(system, max_depth=depth, seed=seed)
-    lines.append("")
-    lines.append("== strong ==")
-    lines.extend(_report_lines(strong_report, system))
-    doc["strong"] = _report_doc(strong_report, system)
+        ilines, doc["immersion"] = _immersion_section(parsed, check=False)
+        lines.extend(ilines + [""])
+    mode = parsed.options["mode"]
+    sections = [(key, key, _report_section(_ROUTES[key](session, mode), parsed.system))
+                for key in ("index", "bound", "strong")]
     l = _rank_threshold(parsed, args)
     if l is not None:
-        rank_report = rank_l_analysis(system, l, mode, max_depth=depth, seed=seed)
-        lines.append("")
-        lines.append(f"== rank {l} ==")
-        note = "the lifted system; the pull-back below settles the source" \
-            if parsed.immersed is not None else None
-        lines.extend(_report_lines(rank_report, system, verdict_note=note))
-        rdoc = _report_doc(rank_report, system)
-        if parsed.immersed is not None:
-            pull, vanish = _pull_back(parsed, rank_report)
-            lines.extend(_pull_back_lines(parsed, rank_report, pull, vanish))
-            rdoc["pull_back"] = _pull_back_doc(pull, vanish)
-        doc["rank"] = rdoc
+        sections.append((f"rank {l}", "rank", _rank_section(parsed, session, l)))
+    for i, (title, key, (slines, sdoc)) in enumerate(sections):
+        if i:
+            lines.append("")
+        lines.append(f"== {title} ==")
+        lines.extend(slines)
+        doc[key] = sdoc
     return lines, doc
 
 

@@ -149,18 +149,21 @@ def reduce_columns(columns):
     columns already kept, and dropped if that is zero.  Column spans are
     preserved, so every minor ideal and every pointwise rank is too.
     """
-    columns = tuple(columns)
-    if not columns:
-        return columns
-    vars = columns[0].vars
-    dim = len(columns[0])
+    return adjoin_columns(columns)[0]
+
+
+def adjoin_columns(columns, module=None):
+    """reduce_columns continued from a module: the columns reduced against
+    it and each other, and the module they span with it (None when both
+    are empty)."""
     kept = []
-    module = PolySubmodule(vars, dim, [], columns[0].components[0].order)
     for col in columns:
+        if module is None:
+            module = PolySubmodule(col.vars, len(col), [], col.components[0].order)
         nf, module = module.adjoin(col)
         if nf:
-            kept.append(dict_to_field(vars, dim, nf, col.label, module.order))
-    return tuple(kept)
+            kept.append(dict_to_field(col.vars, len(col), nf, col.label, module.order))
+    return tuple(kept), module
 
 
 def rational_rank(rows):

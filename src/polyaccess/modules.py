@@ -376,6 +376,11 @@ class ChainResult(NamedTuple):
         return tuple(out)
 
 
+def depth_cap(system, max_depth=None):
+    """The bracket-depth cap: max_depth, or max(2n, 8) for n states."""
+    return max(2 * system.dimension, 8) if max_depth is None else max_depth
+
+
 def stabilize_chain(system, mode="accessibility", max_depth=None):
     """Saturate the ascending chain of bracket-generated submodules.
 
@@ -388,8 +393,7 @@ def stabilize_chain(system, mode="accessibility", max_depth=None):
     """
     vars = system.vars
     dim = system.dimension
-    if max_depth is None:
-        max_depth = max(2 * dim, 8)
+    max_depth = depth_cap(system, max_depth)
     seeds = []
     seen = set()
     for g in system.generators(mode):

@@ -1,8 +1,11 @@
 """End-to-end analyses: generic test, exact index, closure, bounds, ranks."""
 
+from dataclasses import replace
+
 import pytest
 
 from polyaccess import (
+    AnalysisSession,
     CapReached,
     Ideal,
     Polynomial,
@@ -50,6 +53,11 @@ def rank_deficient():
     return SystemSpec(V2, zero, [vf(("x1", "0"), "g")])
 
 
+def all_zero():
+    zero = VectorField([Polynomial.zero(V2)] * 2, "f")
+    return SystemSpec(V2, zero, [VectorField(zero.components, "g")])
+
+
 class TestGenericTest:
     def test_planar_full_at_depth_zero(self):
         """Two independent inputs already span the plane generically."""
@@ -70,6 +78,13 @@ class TestGenericTest:
         assert res.rank == 1
         assert res.k_star is None
         assert res.verdict == "nowhere accessible"
+
+    def test_all_zero_fields(self):
+        """An empty bracket family has generic rank 0 at every depth."""
+        res = generic_test(all_zero())
+        assert res.rank == 0
+        assert res.verdict == "nowhere accessible"
+        assert [(r.family_size, r.generic_rank) for r in res.records] == [(0, 0), (0, 0)]
 
 
 class TestExactIndex:
@@ -108,12 +123,31 @@ class TestExactIndex:
         c = p("x2^2 + x3^2 - 1", V3)
         assert in_radical(c, report.singular_ideal)
 
+    def test_auto_route_lists_each_record_once(self):
+        """The closure route adds its rounds after the unsupported radical,
+        not a second copy of the generic test or of the minors at k*."""
+        trace = exact_index_analysis(circle()).chain_trace
+        assert all(a != b for i, a in enumerate(trace) for b in trace[i + 1:])
+        assert [r.generic_rank for r in trace[:2]] == [2, 3]
+        assert all(r.generic_rank is None for r in trace[2:])
+        minors = trace[2].minor_generators
+        assert trace[2].radical_status != "supported"
+        assert [r.minor_generators for r in trace].count(minors) == 1
+        assert [r.invariance_witness for r in trace[3:]] == ["closure round 1", "closure round 2"]
+
     def test_no_auto_route(self):
         """With rerouting off the report stays undecided with no singular set."""
         report = exact_index_analysis(circle(), auto_route=False)
         assert report.route == "exact-index"
         assert report.index_kind == "undecided"
         assert report.singular_ideal is None
+
+    def test_all_zero_fields(self):
+        """Zero drift and inputs: nowhere accessible, not a matrix error."""
+        report = exact_index_analysis(all_zero())
+        assert report.verdict == "nowhere accessible"
+        assert report.generic_rank == 0
+        assert report.singular_generators() == ()
 
     def test_cap(self):
         """A too-small depth cap raises instead of guessing."""
@@ -182,6 +216,22 @@ class TestStrong:
         """Strong rank deficiency reports nowhere strongly accessible."""
         report = strong_analysis(rank_deficient())
         assert report.verdict == "nowhere accessible"
+
+
+class TestSession:
+    def test_shared_session_matches_fresh_ones(self):
+        """Routes run in one session report what each public function does
+        in its own, in whatever order they run."""
+        session = AnalysisSession(circle())
+        shared = [session.strong(), session.bound("accessibility"),
+                  session.index("accessibility"), session.closure("accessibility"),
+                  session.rank_l("accessibility", 2)]
+        fresh = [strong_analysis(circle()), bound_analysis(circle()),
+                 exact_index_analysis(circle()), closure_singular_analysis(circle()),
+                 rank_l_analysis(circle(), 2)]
+        for a, b in zip(shared, fresh):
+            assert replace(a, singular_ideal=None) == replace(b, singular_ideal=None)
+            assert a.singular_generators() == b.singular_generators()
 
 
 class TestRankThreshold:

@@ -1,10 +1,15 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import polyaccess.analysis
 from polyaccess.cli import main
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "demos" / "systems"
 
 PLANAR = """\
 vars x1 x2
@@ -29,6 +34,12 @@ immersion:
   z5 = cos(x3)
 options:
   rank-threshold 3
+"""
+
+ZERO = """\
+vars x1 x2
+drift: 0, 0
+input g: 0, 0
 """
 
 
@@ -173,6 +184,45 @@ class TestExitCodes:
     def test_immerse_without_block(self, planar_file, capsys):
         """immerse on a plain polynomial file exits 2."""
         assert main(["immerse", planar_file]) == 2
+
+    def test_all_zero_fields(self, tmp_path, capsys):
+        """A system whose fields are all zero is reported nowhere accessible."""
+        f = tmp_path / "zero.sys"
+        f.write_text(ZERO)
+        assert main(["index", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert "generic rank: 0 of 2" in out
+        assert "verdict: nowhere accessible" in out
+
+
+class TestOneSessionPerRun:
+    @staticmethod
+    def _full_calls(monkeypatch, capsys, name):
+        counts = Counter()
+        for attr in ("extend_family", "stabilize_chain", "invariant_closure"):
+            original = getattr(polyaccess.analysis, attr)
+
+            def counted(*args, _attr=attr, _original=original, **kwargs):
+                counts[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(polyaccess.analysis, attr, counted)
+        assert main(["full", str(SYSTEMS / f"{name}.sys"), "--format", "structured"]) == 0
+        capsys.readouterr()
+        return counts
+
+    def test_circle3d_full(self, monkeypatch, capsys):
+        """full computes each family depth, chain and closure once: brackets to
+        depth 1 for accessibility and depth 2 for strong, one chain per mode."""
+        counts = self._full_calls(monkeypatch, capsys, "circle3d")
+        assert counts["stabilize_chain"] <= 2
+        assert counts["invariant_closure"] <= 1
+        assert counts["extend_family"] <= 3
+
+    def test_pendulum_full(self, monkeypatch, capsys):
+        """bound and rank share the accessibility chain of the cart-pole."""
+        counts = self._full_calls(monkeypatch, capsys, "pendulum")
+        assert counts["stabilize_chain"] == 1
 
 
 class TestFlagOverrides:
