@@ -207,9 +207,9 @@ class AnalysisSession:
     def _nowhere(self, mode, route, gt):
         # rank below n on a dense open set means rank below n everywhere, so
         # the singular locus is the whole space: the zero ideal cuts it out
-        return self._report(mode, route, Ideal(self.system.vars, ()), trace=gt.records,
-                            rank=gt.rank,
-                            notes=("generic rank below the state dimension; every point is singular",))
+        return self._report(
+            mode, route, Ideal(self.system.vars, ()), trace=gt.records, rank=gt.rank,
+            notes=("generic rank below the state dimension; every point is singular",))
 
     @_once
     def generic(self, mode):
@@ -292,7 +292,8 @@ class AnalysisSession:
             return I_q, (), ("minor ideal improper: no real point drops rank; empty singular set",)
         result = invariant_closure(I_q, self.system.operators(), max_rounds=self.max_depth * 8)
         rounds = tuple(
-            ChainRecord(depth=q, minor_generators=tuple(added), invariance_witness=f"closure round {i}")
+            ChainRecord(depth=q, minor_generators=tuple(added),
+                        invariance_witness=f"closure round {i}")
             for i, added in enumerate(result.rounds, start=1)
         )
         return result.ideal, rounds, (
@@ -314,8 +315,9 @@ class AnalysisSession:
         if gt.verdict != VERDICT_GENERIC:
             return self._nowhere(mode, ROUTE_CLOSURE, gt)
         q = gt.k_star
+        I_q = self.minors(mode, q, self.system.dimension)
         head = ChainRecord(depth=q, family_size=self._family_size(mode, q),
-                           minor_generators=self.minors(mode, q, self.system.dimension).groebner_basis())
+                           minor_generators=I_q.groebner_basis())
         singular, rounds, notes = self._closure(mode)
         return self._report(mode, ROUTE_CLOSURE, singular, trace=gt.records + (head,) + rounds,
                             notes=notes, matrix=self._closure_matrix(mode))

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from polyaccess import (
-    AnalysisSession,
     CapReached,
     Ideal,
     Polynomial,
@@ -23,6 +22,7 @@ from polyaccess import (
     sample_check,
     strong_analysis,
 )
+from polyaccess.analysis import AnalysisSession
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
