@@ -172,12 +172,16 @@ class AnalysisSession:
 
     @_once
     def limit_matrix(self, mode):
-        return build_matrix(self.chain(mode).columns)
+        """Matrix of the stabilized chain's columns; None for a zero chain."""
+        cols = self.chain(mode).columns
+        return build_matrix(cols) if cols else None
 
     @_once
     def limit_rank(self, mode):
-        return generic_rank(self.limit_matrix(mode), seed=self.seed,
-                            module=self.chain(mode).module).rank
+        M = self.limit_matrix(mode)
+        if M is None:
+            return 0
+        return generic_rank(M, seed=self.seed, module=self.chain(mode).module).rank
 
     @_once
     def minors(self, mode, depth, size):
@@ -345,8 +349,10 @@ class AnalysisSession:
         chain = self.chain(mode)
         M = self.limit_matrix(mode)
         rank = self.limit_rank(mode)
-        singular = (self.minors(mode, None, l) if min(M.nrows, M.ncols) >= l
-                    else Ideal(self.system.vars, ()))
+        if M is not None and min(M.nrows, M.ncols) >= l:
+            singular = self.minors(mode, None, l)
+        else:
+            singular = Ideal(self.system.vars, ())
         trace = [ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen))
                  for depth, gen in enumerate(chain.rounds)]
         return self._report(mode, ROUTE_RANK_L, singular, _bound_kind(mode), chain.r_hat, trace,

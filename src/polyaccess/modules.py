@@ -46,11 +46,6 @@ def dict_to_field(vars, dim, d, label, order=DEGREVLEX):
     return VectorField(polys, label)
 
 
-def _negkey(k):
-    """Flip a nested integer-tuple sort key so a min-heap pops the maximum."""
-    return tuple(-x if isinstance(x, int) else _negkey(x) for x in k)
-
-
 def _mv_key(order):
     key = order.key
 
@@ -62,8 +57,8 @@ def _mv_key(order):
 
 
 def _mv_negkey(order):
-    key = order.key
-    return lambda term: (term[0], _negkey(key(term[1])))
+    negkey = order.negkey
+    return lambda term: (term[0], negkey(term[1]))
 
 
 def _mv_lt(d, keyf):
@@ -389,7 +384,8 @@ def stabilize_chain(system, mode="accessibility", max_depth=None):
     of lower-depth generators, so nothing else can enlarge the module.
     Returns the first depth where nothing new appears, the retained
     generators per depth, the stabilized module, and the size of the
-    module's basis at the end of each depth.
+    module's basis at the end of each depth.  Generators that are all zero
+    span the zero module, stable at depth 0.
     """
     vars = system.vars
     dim = system.dimension
@@ -403,10 +399,8 @@ def stabilize_chain(system, mode="accessibility", max_depth=None):
         if k not in seen:
             seen.add(k)
             seeds.append(g)
-    if not seeds:
-        raise ValueError("no nonzero generators at depth zero")
     ops = system.operators()
-    module = PolySubmodule(vars, dim, seeds, seeds[0].components[0].order)
+    module = PolySubmodule(vars, dim, seeds, system.generators(mode)[0].components[0].order)
     rounds = [tuple(seeds)]
     sizes = []
     frontier = list(seeds)

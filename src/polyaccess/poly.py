@@ -90,6 +90,17 @@ class MonomialOrder:
         rev = tuple(-e for e in reversed(mono))
         return (sum(mono), rev)
 
+    def negkey(self, mono):
+        """key(mono) with every integer negated: a min-heap on it pops the
+        largest monomial first."""
+        if self.permutation is not None:
+            mono = tuple(mono[i] for i in self.permutation)
+        if self.kind == "lex":
+            return tuple(-e for e in mono)
+        if self.kind == "deglex":
+            return (-sum(mono), tuple(-e for e in mono))
+        return (-sum(mono), mono[::-1])
+
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
@@ -128,6 +139,12 @@ class BlockOrder:
         a, b = mono[:h], mono[h:]
         return (sum(a), tuple(-e for e in reversed(a)), sum(b), tuple(-e for e in reversed(b)))
 
+    def negkey(self, mono):
+        """key(mono) with every integer negated, as MonomialOrder.negkey."""
+        h = self.head
+        a, b = mono[:h], mono[h:]
+        return (-sum(a), a[::-1], -sum(b), b[::-1])
+
     def __eq__(self, other):
         return isinstance(other, BlockOrder) and self.head == other.head
 
@@ -162,10 +179,28 @@ def mono_gcd(a, b):
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
+def _mul_into(acc, a, b, sign=1):
+    """acc += sign * a * b on coefficient dicts; sums that cancel are removed."""
+    for ma, ca in a.items():
+        if sign < 0:
+            ca = -ca
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            v = acc.get(m)
+            if v is None:
+                acc[m] = ca * cb
+            else:
+                v = v + ca * cb
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+
+
 class Polynomial:
     """Immutable sparse polynomial tied to a VarTable and a MonomialOrder."""
 
-    __slots__ = ("vars", "order", "coeffs", "_lt", "_hash")
+    __slots__ = ("vars", "order", "coeffs", "_lt", "_hash", "_partials")
 
     def __init__(self, vars, coeffs, order=DEGREVLEX, _clean=True):
         self.vars = vars
@@ -183,6 +218,7 @@ class Polynomial:
         self.coeffs = coeffs
         self._lt = None
         self._hash = None
+        self._partials = None
 
     # -- constructors ------------------------------------------------------
 
@@ -342,18 +378,7 @@ class Polynomial:
         if len(a) > len(b):
             a, b = b, a
         res = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                v = res.get(m)
-                if v is None:
-                    res[m] = ca * cb
-                else:
-                    v = v + ca * cb
-                    if v:
-                        res[m] = v
-                    else:
-                        del res[m]
+        _mul_into(res, a, b)
         return Polynomial(self.vars, res, self.order, _clean=False)
 
     __rmul__ = __mul__
@@ -373,14 +398,24 @@ class Polynomial:
     # -- calculus / evaluation ---------------------------------------------
 
     def partial_derivative(self, which):
+        """Derivative in one variable, by name or index.  Each is computed
+        once and kept on the polynomial, which never changes."""
         i = self.vars.index(which) if isinstance(which, str) else which
-        res = {}
-        for m, c in self.coeffs.items():
-            e = m[i]
-            if e:
-                dm = m[:i] + (e - 1,) + m[i + 1 :]
-                res[dm] = res.get(dm, ZERO) + c * e
-        return Polynomial(self.vars, res, self.order)
+        n = len(self.vars)
+        if not 0 <= i < n:
+            raise IndexError(f"variable index {i} out of range for {n} variables")
+        if self._partials is None:
+            self._partials = [None] * n
+        d = self._partials[i]
+        if d is None:
+            # distinct monomials with e > 0 stay distinct when e drops by one
+            res = {}
+            for m, c in self.coeffs.items():
+                e = m[i]
+                if e:
+                    res[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+            d = self._partials[i] = Polynomial(self.vars, res, self.order, _clean=False)
+        return d
 
     def evaluate(self, point):
         """Exact value at a full rational point (sequence, one per variable)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .poly import Polynomial, VarTable
+from .poly import Polynomial, VarTable, _mul_into
 
 
 class VectorField:
@@ -67,25 +67,37 @@ class VectorField:
         return f"VectorField({self})"
 
 
+def _add_lie_terms(acc, field, p, sign):
+    """acc += sign * sum_i dp/dx_i * field_i, on one coefficient dict."""
+    for i, comp in enumerate(field.components):
+        if comp.coeffs:
+            dp = p.partial_derivative(i)
+            if dp.coeffs:
+                p._check(comp)
+                _mul_into(acc, dp.coeffs, comp.coeffs, sign)
+
+
 def lie_derivative(field, p):
     """Derivative of the scalar p along field: sum_i dp/dx_i * field_i."""
-    total = Polynomial.zero(p.vars, p.order)
-    for i, comp in enumerate(field.components):
-        if comp.is_zero():
-            continue
-        dp = p.partial_derivative(i)
-        if not dp.is_zero():
-            total = total + dp * comp
-    return total
+    acc = {}
+    _add_lie_terms(acc, field, p, 1)
+    return Polynomial(p.vars, acc, p.order, _clean=False)
 
 
 def lie_bracket(f, g, label=None):
-    """Bracket [f, g]; component j is L_f(g_j) - L_g(f_j)."""
+    """Bracket [f, g]; component j is L_f(g_j) - L_g(f_j), summed into one
+    coefficient dict."""
     if f.vars != g.vars or len(f) != len(g):
         raise ValueError("bracket of fields over different spaces")
     if label is None:
         label = f"[{f.label},{g.label}]"
-    comps = [lie_derivative(f, gj) - lie_derivative(g, fj) for fj, gj in zip(f, g)]
+    comps = []
+    for fj, gj in zip(f, g):
+        gj._check(fj)
+        acc = {}
+        _add_lie_terms(acc, f, gj, 1)
+        _add_lie_terms(acc, g, fj, -1)
+        comps.append(Polynomial(gj.vars, acc, gj.order, _clean=False))
     return VectorField(comps, label)
 
 

@@ -201,6 +201,17 @@ class TestBound:
         assert report.verdict == "nowhere accessible"
         assert report.singular_generators() == ()
 
+    def test_all_zero_fields(self):
+        """Zero drift and inputs span the zero module, stable at depth 0:
+        nowhere accessible, not a chain error."""
+        report = bound_analysis(all_zero())
+        assert report.verdict == "nowhere accessible"
+        assert report.generic_rank == 0
+        assert report.singular_generators() == ()
+        assert (report.index_kind, report.index_value) == ("upper bound r-hat", 0)
+        assert [rec.module_gb_size for rec in report.chain_trace] == [0]
+        assert report.matrix is None
+
 
 class TestStrong:
     def test_planar_strong(self):
@@ -250,6 +261,16 @@ class TestRankThreshold:
         diag = sample_check(report, trials=40, seed=3,
                             extra_points=((Q(0), Q(0)), (Q(0), Q(5))))
         assert diag.mismatches == ()
+
+    def test_all_zero_fields(self):
+        """Every point of an all-zero system has rank 0, below every threshold."""
+        for l in (1, 2):
+            report = rank_l_analysis(all_zero(), l)
+            assert report.verdict == "nowhere accessible"
+            assert report.generic_rank == 0
+            assert report.threshold == l
+            assert report.singular_generators() == ()
+            assert [(rec.depth, rec.retained_labels) for rec in report.chain_trace] == [(0, ())]
 
     def test_planar_rank_full(self):
         """Threshold n reproduces the bound-route singular ideal."""

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import polyaccess.analysis
+from polyaccess import Polynomial
 from polyaccess.cli import main
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "demos" / "systems"
@@ -189,10 +190,23 @@ class TestExitCodes:
         """A system whose fields are all zero is reported nowhere accessible."""
         f = tmp_path / "zero.sys"
         f.write_text(ZERO)
-        assert main(["index", str(f)]) == 0
-        out = capsys.readouterr().out
-        assert "generic rank: 0 of 2" in out
-        assert "verdict: nowhere accessible" in out
+        for argv in (["index"], ["bound"], ["rank", "--l", "1"], ["full"]):
+            assert main([argv[0], str(f)] + argv[1:]) == 0
+            out = capsys.readouterr().out
+            assert "generic rank: 0 of 2" in out
+            assert "verdict: nowhere accessible" in out
+            assert "whole state space" in out
+
+    def test_all_zero_fields_structured(self, tmp_path, capsys):
+        """full reports every section of an all-zero system with the zero ideal."""
+        f = tmp_path / "zero.sys"
+        f.write_text(ZERO)
+        assert main(["full", str(f), "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for section in ("index", "bound", "strong"):
+            assert doc[section]["generic_rank"] == 0
+            assert doc[section]["verdict"] == "nowhere accessible"
+            assert doc[section]["singular_generators"] == []
 
 
 class TestOneSessionPerRun:
@@ -223,6 +237,31 @@ class TestOneSessionPerRun:
         """bound and rank share the accessibility chain of the cart-pole."""
         counts = self._full_calls(monkeypatch, capsys, "pendulum")
         assert counts["stabilize_chain"] == 1
+
+
+class TestDerivativeReuse:
+    def test_full_computes_each_partial_once(self, monkeypatch, capsys):
+        """Asked again for a partial of the same polynomial object, full gets
+        the one already computed."""
+        first = {}  # (id(poly), variable) -> (poly, partial)
+        recomputed = []
+        calls = 0
+        original = Polynomial.partial_derivative
+
+        def counted(self, which):
+            nonlocal calls
+            calls += 1
+            d = original(self, which)
+            kept = first.setdefault((id(self), which), (self, d))
+            if kept[1] is not d:
+                recomputed.append((self, which))
+            return d
+
+        monkeypatch.setattr(Polynomial, "partial_derivative", counted)
+        assert main(["full", str(SYSTEMS / "circle3d.sys"), "--format", "structured"]) == 0
+        capsys.readouterr()
+        assert recomputed == []
+        assert calls > len(first)  # partials were asked for again
 
 
 class TestFlagOverrides:

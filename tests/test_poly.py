@@ -13,6 +13,7 @@ from polyaccess import (
     DEGREVLEX,
     LEX,
     BlockOrder,
+    MonomialOrder,
     ParseError,
     Polynomial,
     VarTable,
@@ -105,6 +106,23 @@ class TestArithmetic:
                 rhs = a.partial_derivative(i) * b + a * b.partial_derivative(i)
                 assert lhs == rhs
 
+    def test_derivative_kept(self):
+        """A partial is computed once, by name or index, and kept."""
+        a = p("x1^2*x2 - 3*x2*x3 + 5")
+        d = a.partial_derivative("x2")
+        assert d == p("x1^2 - 3*x3")
+        assert a.partial_derivative(1) is d
+        assert a.partial_derivative(0) == p("2*x1*x2")
+        assert a.partial_derivative("x2") is d
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_derivative_index_out_of_range(self, i):
+        """An index outside the variables raises and leaves no partial behind."""
+        a = p("x1^2*x2 - 3*x2*x3 + 5")
+        with pytest.raises(IndexError):
+            a.partial_derivative(i)
+        assert a.partial_derivative(2) == p("-3*x2")
+
     def test_evaluate_hom(self):
         """Evaluation is a ring morphism."""
         rng = random.Random(7)
@@ -141,6 +159,28 @@ class TestOrders:
         order = BlockOrder(1)
         a = p("x1 + x2^5", order=order)
         assert a.lt() == p("x1", order=order).lt()
+
+
+def _negkey_reference(k):
+    """The nested sort key negated term by term, as the heap keys of the
+    module engine were once built."""
+    return tuple(-x if isinstance(x, int) else _negkey_reference(x) for x in k)
+
+
+class TestNegkey:
+    ORDERS = (DEGREVLEX, DEGLEX, LEX, MonomialOrder("degrevlex", (2, 0, 3, 1)),
+              MonomialOrder("lex", (3, 1, 0, 2)), BlockOrder(2))
+
+    @pytest.mark.parametrize("order", ORDERS, ids=repr)
+    def test_reverses_key(self, order):
+        """negkey(a) < negkey(b) exactly when key(a) > key(b), and negkey is
+        key with every integer negated."""
+        rng = random.Random(41)
+        monos = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(60)]
+        for a in monos:
+            assert order.negkey(a) == _negkey_reference(order.key(a))
+            for b in monos:
+                assert (order.negkey(a) < order.negkey(b)) == (order.key(a) > order.key(b))
 
 
 class TestParsing:

@@ -73,7 +73,30 @@ class TestLieDerivative:
             lie_derivative(f, a) * b + a * lie_derivative(f, b)
 
 
+def _lie_derivative_reference(field, q):
+    """sum_i dq/dx_i * field_i by polynomial arithmetic, term by term."""
+    total = Polynomial.zero(q.vars, q.order)
+    for i, comp in enumerate(field.components):
+        total = total + q.partial_derivative(i) * comp
+    return total
+
+
 class TestLieBracket:
+    def test_matches_unfused_formula(self):
+        """The summed bracket equals L_f(g_j) - L_g(f_j) built from separate
+        products, and lie_derivative equals its term-by-term sum."""
+        rng = random.Random(17)
+        for _ in range(20):
+            f = random_field(rng, V3, "f")
+            g = random_field(rng, V3, "g")
+            fg = lie_bracket(f, g)
+            for fj, gj, b in zip(f, g, fg):
+                assert b == lie_derivative(f, gj) - lie_derivative(g, fj)
+                assert b == _lie_derivative_reference(f, gj) - _lie_derivative_reference(g, fj)
+                assert b.order == gj.order
+            for q in list(f) + list(g):
+                assert lie_derivative(g, q) == _lie_derivative_reference(g, q)
+
     def test_antisymmetry_random(self):
         """[f,g] = -[g,f] on random fields."""
         rng = random.Random(17)
