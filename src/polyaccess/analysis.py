@@ -17,8 +17,8 @@ from .ideals import (
     is_invariant,
     real_radical_restricted,
 )
-from .minors import adjoin_columns, build_matrix, generic_rank, minor_ideal, rational_rank
-from .modules import depth_cap, stabilize_chain
+from .minors import build_matrix, generic_rank, minor_ideal, rational_rank
+from .modules import chain_depths
 from .rationals import Q
 from .vectorfields import BracketFamily, extend_family
 
@@ -50,6 +50,24 @@ class ChainRecord:
     invariance_witness: str = None  # residue description when not invariant
     module_gb_size: int = None
     retained_labels: tuple = ()
+
+
+class ChainResult(NamedTuple):
+    mode: str
+    r_hat: int
+    rounds: tuple  # rounds[k] = retained generator fields of depth k
+    module: object  # the stabilized submodule
+    basis_sizes: tuple  # basis_sizes[k] = basis size of the depth-k module
+
+    @property
+    def columns(self):
+        return self.columns_at(self.r_hat)
+
+    def columns_at(self, depth):
+        out = []
+        for gen in self.rounds[: depth + 1]:
+            out.extend(gen)
+        return tuple(out)
 
 
 @dataclass
@@ -98,6 +116,11 @@ def planar_depth_bound(degree):
     return 6 * degree * degree - 2 * degree + 2
 
 
+def depth_cap(system, max_depth=None):
+    """The bracket-depth cap: max_depth, or max(2n, 8) for n states."""
+    return max(2 * system.dimension, 8) if max_depth is None else max_depth
+
+
 def _once(method):
     """Compute a session method once per argument tuple.  A CapReached is
     kept as well and raised again, so a capped computation is not rerun."""
@@ -121,12 +144,15 @@ def _once(method):
 class AnalysisSession:
     """Every analysis of one system at one seed and one depth cap.
 
-    The routes share their work: each mode's bracket family is extended in
-    place and its columns reduced one generation at a time, and the generic
-    test, minor ideals, module chain, index search and invariant closure are
-    each computed on first use and kept.  Routes that build on one another
-    (strong on the index search, the index search on the closure) read the
-    same objects.
+    The routes share their work.  Each mode has one module chain, read from
+    chain_depths only as deep as some route asks: its columns and modules
+    through each depth give the generic test, the index search and the
+    closure their matrices, and its stable depth r-hat gives the bound and
+    rank routes theirs.  The generic test, minor ideals, index search and
+    invariant closure are each computed on first use and kept.  Routes that
+    build on one another (strong on the index search, the index search on
+    the closure) read the same objects.  The bracket family is kept only to
+    report its size per depth.
     """
 
     def __init__(self, system, max_depth=None, seed=0):
@@ -136,6 +162,7 @@ class AnalysisSession:
         self.planar_bound = (planar_depth_bound(max(system_degree(system), 1))
                              if system.dimension == 2 else None)
         self._families = {}  # mode -> family at the deepest depth asked for
+        self._chains = {}  # mode -> (depths read so far, chain_depths generator)
         self._memo = {}
 
     def family(self, mode, depth):
@@ -150,31 +177,47 @@ class AnalysisSession:
     def _family_size(self, mode, depth):
         return len(self.family(mode, depth).members(depth))
 
+    def _depth(self, mode, depth):
+        """Retained fields and module at depth `depth` of the mode's chain,
+        read on first use; past the first depth that retains nothing, the
+        chain is stable."""
+        if mode not in self._chains:
+            self._chains[mode] = ([], chain_depths(self.system, mode))
+        depths, rest = self._chains[mode]
+        while len(depths) <= depth:
+            if len(depths) > 1 and not depths[-1][0]:
+                return depths[-1]
+            depths.append(next(rest))
+        return depths[depth]
+
     @_once
     def _columns(self, mode, depth):
-        """Reduced columns of the depth-`depth` family and the module they
-        span (None when there are none).  Each generation is reduced against
-        the module of the depths before it, which gives the same columns as
-        reducing the whole family in one pass."""
-        cols, module = ((), None) if depth == 0 else self._columns(mode, depth - 1)
-        kept, module = adjoin_columns(self.family(mode, depth).generations[depth], module)
-        return cols + kept, module
+        """Chain columns through depth `depth` and the module they span."""
+        retained, module = self._depth(mode, depth)
+        cols = self._columns(mode, depth - 1)[0] if depth else ()
+        return cols + retained, module
 
     @_once
     def matrix(self, mode, depth):
-        """Bracket matrix at depth `depth`; None for an empty family."""
+        """Matrix of the chain columns through depth `depth`; None when there
+        are none."""
         cols, _ = self._columns(mode, depth)
         return build_matrix(cols) if cols else None
 
     @_once
     def chain(self, mode):
-        return stabilize_chain(self.system, mode, self.max_depth)
+        """The chain up to its stable depth r-hat, the last that retains a
+        field (0 for the zero module)."""
+        for depth in range(1, self.max_depth + 1):
+            if not self._depth(mode, depth)[0]:
+                steps = [self._depth(mode, k) for k in range(depth)]
+                return ChainResult(mode, depth - 1, tuple(r for r, _ in steps), steps[-1][1],
+                                   tuple(len(m._basis()) for _, m in steps))
+        raise CapReached("module chain", self.max_depth)
 
-    @_once
     def limit_matrix(self, mode):
         """Matrix of the stabilized chain's columns; None for a zero chain."""
-        cols = self.chain(mode).columns
-        return build_matrix(cols) if cols else None
+        return self.matrix(mode, self.chain(mode).r_hat)
 
     @_once
     def limit_rank(self, mode):
@@ -185,10 +228,8 @@ class AnalysisSession:
 
     @_once
     def minors(self, mode, depth, size):
-        """Ideal of the size x size minors at depth `depth`, or of the chain
-        limit when depth is None."""
-        M = self.limit_matrix(mode) if depth is None else self.matrix(mode, depth)
-        return minor_ideal(M, size)
+        """Ideal of the size x size minors of the depth-`depth` matrix."""
+        return minor_ideal(self.matrix(mode, depth), size)
 
     def _report(self, mode, route, singular, kind=INDEX_UNDECIDED, value=None,
                 trace=(), rank=None, **extra):
@@ -332,7 +373,7 @@ class AnalysisSession:
         n = self.system.dimension
         chain = self.chain(mode)
         rank = self.limit_rank(mode)
-        singular = self.minors(mode, None, n) if rank == n else Ideal(self.system.vars, ())
+        singular = self.minors(mode, chain.r_hat, n) if rank == n else Ideal(self.system.vars, ())
         trace = [ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen),
                              module_gb_size=chain.basis_sizes[depth])
                  for depth, gen in enumerate(chain.rounds)]
@@ -350,7 +391,7 @@ class AnalysisSession:
         M = self.limit_matrix(mode)
         rank = self.limit_rank(mode)
         if M is not None and min(M.nrows, M.ncols) >= l:
-            singular = self.minors(mode, None, l)
+            singular = self.minors(mode, chain.r_hat, l)
         else:
             singular = Ideal(self.system.vars, ())
         trace = [ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen))
@@ -394,6 +435,12 @@ class AnalysisSession:
 
 def _bound_kind(mode):
     return INDEX_BOUND_R if mode == "accessibility" else INDEX_BOUND_L
+
+
+def stabilize_chain(system, mode="accessibility", max_depth=None):
+    """Module chain to its stable depth in a fresh session; see
+    AnalysisSession.chain."""
+    return AnalysisSession(system, max_depth).chain(mode)
 
 
 def generic_test(system, mode="accessibility", seed=0):

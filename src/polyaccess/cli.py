@@ -18,7 +18,7 @@ from .analysis import (
 )
 from .errors import CapReached, ClosureError, ParseError
 from .immersion import pull_back_singular, vanishing_coordinates, verify_immersion
-from .systemfile import parse_file
+from .systemfile import entry_text, parse_file
 
 _INDEX_PHRASE = {
     INDEX_EXACT_R: "r* = {v}",
@@ -95,26 +95,28 @@ def _headline(report):
     return f"{_index_phrase(report)}; S_∞: {_ideal_phrase(report.singular_generators())}"
 
 
+# ChainRecord fields in trace order, each with its text form
+_TRACE_FIELDS = (
+    ("family_size", "family {}".format),
+    ("generic_rank", "generic rank {}".format),
+    ("minor_generators", lambda gens: "minors " + _ideal_phrase(gens)),
+    ("radical_status", "radical {}".format),
+    ("invariance_witness", str),
+    ("module_gb_size", "module basis {}".format),
+    ("retained_labels", lambda labels: "columns " + ", ".join(labels)),
+)
+
+
+def _set_fields(rec):
+    """(field, text form, value) of the record's set fields; None and () are
+    unset, 0 is a value."""
+    return [(name, text, getattr(rec, name)) for name, text in _TRACE_FIELDS
+            if getattr(rec, name) not in (None, ())]
+
+
 def _trace_lines(report):
-    lines = []
-    for rec in report.chain_trace:
-        bits = []
-        if rec.family_size is not None:
-            bits.append(f"family {rec.family_size}")
-        if rec.generic_rank is not None:
-            bits.append(f"generic rank {rec.generic_rank}")
-        if rec.minor_generators:
-            bits.append("minors " + _ideal_phrase(rec.minor_generators))
-        if rec.radical_status is not None:
-            bits.append(f"radical {rec.radical_status}")
-        if rec.invariance_witness is not None:
-            bits.append(rec.invariance_witness)
-        if rec.module_gb_size is not None:
-            bits.append(f"module basis {rec.module_gb_size}")
-        if rec.retained_labels:
-            bits.append("columns " + ", ".join(rec.retained_labels))
-        lines.append(f"  depth {rec.depth}: " + "; ".join(bits))
-    return lines
+    return [f"  depth {rec.depth}: " + "; ".join(text(v) for _, text, v in _set_fields(rec))
+            for rec in report.chain_trace]
 
 
 def _report_lines(report, system, verdict_note=None):
@@ -160,24 +162,10 @@ def _report_doc(report, system):
         doc["planar_depth_bound"] = report.planar_depth_bound
     if report.notes:
         doc["notes"] = list(report.notes)
-    trace = []
-    for rec in report.chain_trace:
-        entry = {"depth": rec.depth}
-        if rec.family_size is not None:
-            entry["family_size"] = rec.family_size
-        if rec.generic_rank is not None:
-            entry["generic_rank"] = rec.generic_rank
-        if rec.minor_generators:
-            entry["minor_generators"] = [str(g) for g in rec.minor_generators]
-        if rec.radical_status is not None:
-            entry["radical_status"] = rec.radical_status
-        if rec.invariance_witness is not None:
-            entry["invariance_witness"] = rec.invariance_witness
-        if rec.module_gb_size is not None:
-            entry["module_gb_size"] = rec.module_gb_size
-        if rec.retained_labels:
-            entry["retained_labels"] = list(rec.retained_labels)
-        trace.append(entry)
+    trace = [{"depth": rec.depth,
+              **{name: [str(x) for x in v] if isinstance(v, tuple) else v
+                 for name, _, v in _set_fields(rec)}}
+             for rec in report.chain_trace]
     if trace:
         doc["chain_trace"] = trace
     return doc
@@ -224,23 +212,13 @@ def _pull_back_doc(pull, vanish):
     return doc
 
 
-def _entry_text(imap, j, alias):
-    e = imap.entries[j]
-    identity = list(range(len(imap.target_vars)))
-    if e.kind in ("sin", "cos"):
-        return f"{e.kind}({imap.source_vars.names[e.arg]})"
-    if e.kind == "reciprocal":
-        return f"1/({e.expr.map_vars(alias, identity)})"
-    return str(e.expr.map_vars(alias, identity))
-
-
 def _immersion_section(parsed, check):
     """Text lines and document of the immersion, verified once."""
     imap = parsed.immersion
     alias = parsed.parse_vars
     identity = list(range(len(imap.target_vars)))
     n = len(parsed.source_vars)
-    entries = {imap.target_vars.names[j]: _entry_text(imap, j, alias)
+    entries = {imap.target_vars.names[j]: entry_text(imap, j, alias)
                for j in range(n, len(imap.target_vars))}
     relations = [r.map_vars(alias, identity) for r in imap.relation_generators()]
     sys_ = parsed.system

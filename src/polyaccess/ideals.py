@@ -56,9 +56,6 @@ class Ideal(PolySubmodule):
             self._polys = tuple(map(self._unvec, self._basis()))
         return self._polys
 
-    def is_zero_ideal(self):
-        return not self._basis()
-
     def is_proper(self):
         gb = self.groebner_basis()
         return not (gb and gb[0].is_constant())

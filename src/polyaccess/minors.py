@@ -149,21 +149,15 @@ def reduce_columns(columns):
     columns already kept, and dropped if that is zero.  Column spans are
     preserved, so every minor ideal and every pointwise rank is too.
     """
-    return adjoin_columns(columns)[0]
-
-
-def adjoin_columns(columns, module=None):
-    """reduce_columns continued from a module: the columns reduced against
-    it and each other, and the module they span with it (None when both
-    are empty)."""
     kept = []
+    module = None
     for col in columns:
         if module is None:
             module = PolySubmodule(col.vars, len(col), [], col.components[0].order)
         nf, module = module.adjoin(col)
         if nf:
             kept.append(dict_to_field(col.vars, len(col), nf, col.label, module.order))
-    return tuple(kept), module
+    return tuple(kept)
 
 
 def rational_rank(rows):

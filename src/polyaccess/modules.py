@@ -1,5 +1,5 @@
-"""Submodules of Q[x]^n, the Groebner engine, and the saturation that
-stabilizes the ascending chain of bracket-generated modules.
+"""Submodules of Q[x]^n, the Groebner engine, and the ascending chain of
+bracket-generated modules, built one depth at a time.
 
 Vectors are flat dicts {(position, monomial): coefficient}; the term order
 is position-over-term with earlier positions larger, so leading terms sit
@@ -22,12 +22,10 @@ nonzero.  In Q[x]^1 every element is led in the last position.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
 
-from .errors import CapReached
 from .poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
 from .rationals import ONE, ZERO
-from .vectorfields import VectorField, lie_bracket
+from .vectorfields import VectorField, lie_bracket, ray_key
 
 
 def field_to_dict(field):
@@ -350,71 +348,46 @@ class PolySubmodule:
         return f"PolySubmodule(dim={self.dim}, gens={len(self.gens)})"
 
 
-class ChainResult(NamedTuple):
-    mode: str
-    r_hat: int
-    rounds: tuple  # rounds[k] = retained generator fields of depth k
-    module: object  # the stabilized submodule
-    basis_sizes: tuple  # basis_sizes[k] = basis size of the depth-k module
-
-    @property
-    def columns(self):
-        out = []
-        for gen in self.rounds:
-            out.extend(gen)
-        return tuple(out)
-
-    def columns_at(self, depth):
-        out = []
-        for gen in self.rounds[: depth + 1]:
-            out.extend(gen)
-        return tuple(out)
-
-
-def depth_cap(system, max_depth=None):
-    """The bracket-depth cap: max_depth, or max(2n, 8) for n states."""
-    return max(2 * system.dimension, 8) if max_depth is None else max_depth
-
-
-def stabilize_chain(system, mode="accessibility", max_depth=None):
-    """Saturate the ascending chain of bracket-generated submodules.
+def chain_depths(system, mode="accessibility"):
+    """The ascending chain of bracket-generated submodules, one depth at a
+    time: yields the generator fields retained at depth 0, 1, 2, ... with
+    the module they span together with every depth before, and ends after
+    the first depth past 0 that retains nothing.
 
     Depth k+1 only brackets the generators retained at depth k: brackets of
     module combinations split into combinations of the retained brackets and
-    of lower-depth generators, so nothing else can enlarge the module.
-    Returns the first depth where nothing new appears, the retained
-    generators per depth, the stabilized module, and the size of the
-    module's basis at the end of each depth.  Generators that are all zero
-    span the zero module, stable at depth 0.
+    of lower-depth generators, so nothing else can enlarge the module.  A
+    bracket that vanishes or lies on the ray of a field already adjoined is
+    a member and is skipped, which also leaves the module's basis unbuilt
+    until a later bracket needs it.  Generators that are all zero span the
+    zero module, stable at depth 0.
     """
     vars = system.vars
     dim = system.dimension
-    max_depth = depth_cap(system, max_depth)
     seeds = []
-    seen = set()
     for g in system.generators(mode):
-        if g.is_zero():
-            continue
-        k = frozenset(field_to_dict(g).items())
-        if k not in seen:
-            seen.add(k)
+        if not g.is_zero() and g not in seeds:
             seeds.append(g)
+    rays = {ray_key(g) for g in seeds}
     ops = system.operators()
     module = PolySubmodule(vars, dim, seeds, system.generators(mode)[0].components[0].order)
-    rounds = [tuple(seeds)]
-    sizes = []
-    frontier = list(seeds)
-    for depth in range(1, max_depth + 1):
-        sizes.append(len(module._basis()))
+    frontier = tuple(seeds)
+    yield frontier, module
+    while True:
         retained = []
         for X in ops:
             for e in frontier:
                 br = lie_bracket(X, e)
+                if br.is_zero():
+                    continue
+                ray = ray_key(br)
+                if ray in rays:
+                    continue
+                rays.add(ray)
                 nf, module = module.adjoin(br)
                 if nf:
                     retained.append(dict_to_field(vars, dim, nf, br.label, module.order))
+        yield tuple(retained), module
         if not retained:
-            return ChainResult(mode, depth - 1, tuple(rounds), module, tuple(sizes))
-        rounds.append(tuple(retained))
+            return
         frontier = retained
-    raise CapReached("module chain", max_depth)

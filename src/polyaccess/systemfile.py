@@ -324,11 +324,6 @@ def _single_var_index(p):
     return mono.index(1)
 
 
-def _make_hooks(imap, aliased, order):
-    return _lookup_hooks(imap.entries, imap.source_vars, aliased,
-                         imap.target_vars, order)
-
-
 def parse_file(text, name=None, overrides=None):
     """Parse a system description; overrides (from CLI flags) take precedence
     over the file's options block."""
@@ -350,7 +345,8 @@ def parse_file(text, name=None, overrides=None):
     parse_vars = aliased if aliased is not None else source_vars
     call_hook = div_hook = None
     if imap is not None:
-        call_hook, div_hook = _make_hooks(imap, aliased, order)
+        call_hook, div_hook = _lookup_hooks(imap.entries, imap.source_vars, aliased,
+                                            imap.target_vars, order)
 
     def parse_components(lineno, col, text_, label):
         parts = _split_components(text_, lineno, col)
@@ -395,6 +391,17 @@ def parse_file(text, name=None, overrides=None):
                       immersion=imap, analytic=analytic, immersed=immersed)
 
 
+def entry_text(imap, j, alias):
+    """Right-hand side of target j's entry, written over the aliased names."""
+    e = imap.entries[j]
+    if e.kind in ("sin", "cos"):
+        return f"{e.kind}({imap.source_vars.names[e.arg]})"
+    identity = list(range(len(imap.target_vars)))
+    if e.kind == "reciprocal":
+        return f"1/({e.expr.map_vars(alias, identity)})"
+    return str(e.expr.map_vars(alias, identity))
+
+
 def render_file(parsed):
     """Canonical text form; parsing it back yields an equivalent file."""
     out = []
@@ -425,15 +432,7 @@ def render_file(parsed):
         out.append("  targets " + " ".join(imap.target_vars.names))
         n = len(src)
         for j in range(n, len(imap.target_vars)):
-            e = imap.entries[j]
-            tname = imap.target_vars.names[j]
-            if e.kind in ("sin", "cos"):
-                rhs = f"{e.kind}({src.names[e.arg]})"
-            elif e.kind == "reciprocal":
-                rhs = f"1/({e.expr.map_vars(alias, identity)})"
-            else:
-                rhs = str(e.expr.map_vars(alias, identity))
-            out.append(f"  {tname} = {rhs}")
+            out.append(f"  {imap.target_vars.names[j]} = {entry_text(imap, j, alias)}")
         for rel in imap.relation_generators():
             out.append(f"  relation: {rel.map_vars(alias, identity)}")
     extras = {k: v for k, v in parsed.options.items() if v != DEFAULTS[k]}

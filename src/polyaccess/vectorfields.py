@@ -160,7 +160,7 @@ class BracketFamily:
         for field in system.generators(mode):
             if field.is_zero():
                 continue
-            key = _ray_key(field)
+            key = ray_key(field)
             if key in kept:
                 continue
             kept[key] = field
@@ -186,7 +186,7 @@ class BracketFamily:
         return self.generations[-1]
 
 
-def _ray_key(field):
+def ray_key(field):
     v = field.normalized()
     return tuple(frozenset(c.coeffs.items()) for c in v.components)
 
@@ -200,7 +200,7 @@ def extend_family(family):
             b = lie_bracket(op, w)
             if b.is_zero():
                 continue
-            key = _ray_key(b)
+            key = ray_key(b)
             if key in kept:
                 continue
             kept[key] = b

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import polyaccess.analysis
+import polyaccess.modules
 from polyaccess import Polynomial
 from polyaccess.cli import main
 
@@ -213,14 +214,18 @@ class TestOneSessionPerRun:
     @staticmethod
     def _full_calls(monkeypatch, capsys, name):
         counts = Counter()
-        for attr in ("extend_family", "stabilize_chain", "invariant_closure"):
-            original = getattr(polyaccess.analysis, attr)
+        targets = [(polyaccess.analysis, attr)
+                   for attr in ("extend_family", "chain_depths", "invariant_closure")]
+        targets += [(polyaccess.modules, "module_buchberger"),
+                    (polyaccess.modules.PolySubmodule, "adjoin")]
+        for owner, attr in targets:
+            original = getattr(owner, attr)
 
             def counted(*args, _attr=attr, _original=original, **kwargs):
                 counts[_attr] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(polyaccess.analysis, attr, counted)
+            monkeypatch.setattr(owner, attr, counted)
         assert main(["full", str(SYSTEMS / f"{name}.sys"), "--format", "structured"]) == 0
         capsys.readouterr()
         return counts
@@ -229,14 +234,28 @@ class TestOneSessionPerRun:
         """full computes each family depth, chain and closure once: brackets to
         depth 1 for accessibility and depth 2 for strong, one chain per mode."""
         counts = self._full_calls(monkeypatch, capsys, "circle3d")
-        assert counts["stabilize_chain"] <= 2
+        assert counts["chain_depths"] == 2
         assert counts["invariant_closure"] <= 1
         assert counts["extend_family"] <= 3
 
     def test_pendulum_full(self, monkeypatch, capsys):
-        """bound and rank share the accessibility chain of the cart-pole."""
+        """Every route shares one chain per mode of the cart-pole."""
         counts = self._full_calls(monkeypatch, capsys, "pendulum")
-        assert counts["stabilize_chain"] == 1
+        assert counts["chain_depths"] == 2
+
+    @pytest.mark.parametrize("name, bases, adjoins", [
+        ("planar", 18, 10),
+        ("circle3d", 17, 19),
+        ("unicycle", 11, 2),
+        ("pendulum", 36, 38),
+    ])
+    def test_engine_calls(self, monkeypatch, capsys, name, bases, adjoins):
+        """The generic test, index search, bound and rank read one module
+        chain per mode: full builds this many Groebner bases and adjoins
+        this many columns."""
+        counts = self._full_calls(monkeypatch, capsys, name)
+        assert counts["module_buchberger"] == bases
+        assert counts["adjoin"] == adjoins
 
 
 class TestDerivativeReuse:

@@ -1,5 +1,6 @@
-"""Golden output: `--format structured` of every command on the shipped demo
-systems, compared byte for byte with the files in tests/golden/.
+"""Golden output: `--format structured` and `--format text` of every command
+on the shipped demo systems, compared byte for byte with the files in
+tests/golden/.
 
 An intended output change regenerates the files with
 `PYTHONPATH=src python tests/test_golden.py` and shows up in their diff.
@@ -20,6 +21,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = ("index", "singular", "bound", "strong", "rank", "full")
 # state dimension for files without a rank-threshold, None for immersed files
 SYSTEM_DIMS = {"planar": 2, "circle3d": 3, "unicycle": None, "pendulum": None}
+# output format -> golden file suffix
+FORMATS = {"structured": "json", "text": "txt"}
 
 
 def _cases():
@@ -34,10 +37,11 @@ def _cases():
 
 
 CASES = list(_cases())
+IDS = [f"{name}-{command}" for name, command, _ in CASES]
 
 
-def _run(name, command, extra):
-    argv = [command, str(SYSTEMS / f"{name}.sys"), "--format", "structured", *extra]
+def _run(name, command, extra, fmt):
+    argv = [command, str(SYSTEMS / f"{name}.sys"), "--format", fmt, *extra]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -45,17 +49,23 @@ def _run(name, command, extra):
     return out.getvalue()
 
 
-def _golden_path(name, command):
-    return GOLDEN / f"{name}_{command}.json"
+def _golden_path(name, command, fmt):
+    return GOLDEN / f"{name}_{command}.{FORMATS[fmt]}"
 
 
-@pytest.mark.parametrize("name, command, extra", CASES,
-                         ids=[f"{name}-{command}" for name, command, _ in CASES])
+@pytest.mark.parametrize("name, command, extra", CASES, ids=IDS)
 def test_structured_output(name, command, extra):
-    assert _run(name, command, extra) == _golden_path(name, command).read_text()
+    assert (_run(name, command, extra, "structured")
+            == _golden_path(name, command, "structured").read_text())
+
+
+@pytest.mark.parametrize("name, command, extra", CASES, ids=IDS)
+def test_text_output(name, command, extra):
+    assert _run(name, command, extra, "text") == _golden_path(name, command, "text").read_text()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, command, extra in CASES:
-        _golden_path(name, command).write_text(_run(name, command, extra))
+        for fmt in FORMATS:
+            _golden_path(name, command, fmt).write_text(_run(name, command, extra, fmt))
