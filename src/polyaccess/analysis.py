@@ -152,7 +152,8 @@ class AnalysisSession:
     invariant closure are each computed on first use and kept.  Routes that
     build on one another (strong on the index search, the index search on
     the closure) read the same objects.  The bracket family is kept only to
-    report its size per depth.
+    report its size per depth; its generations 0 and 1 are the fields the
+    chain found on new rays at those depths, so no bracket is formed twice.
     """
 
     def __init__(self, system, max_depth=None, seed=0):
@@ -166,9 +167,16 @@ class AnalysisSession:
         self._memo = {}
 
     def family(self, mode, depth):
+        """The bracket family through depth `depth`.  Generations 0 and 1 are
+        the chain's new-ray fields at depths 0 and 1: the chain brackets the
+        same operators against its seeds in the same order, and a seed on an
+        earlier seed's ray brackets onto an earlier bracket's ray.  Deeper
+        generations come from extend_family."""
         fam = self._families.get(mode)
-        if fam is None:
-            fam = BracketFamily.initial(self.system, mode)
+        if fam is None or fam.depth < min(depth, 1):
+            fresh = [self._depth(mode, k)[2] for k in range(min(depth, 1) + 1)]
+            fam = BracketFamily(self.system, mode, [list(f.values()) for f in fresh],
+                                {ray: v for f in fresh for ray, v in f.items()})
         while fam.depth < depth:
             fam = extend_family(fam)
         self._families[mode] = fam
@@ -178,9 +186,9 @@ class AnalysisSession:
         return len(self.family(mode, depth).members(depth))
 
     def _depth(self, mode, depth):
-        """Retained fields and module at depth `depth` of the mode's chain,
-        read on first use; past the first depth that retains nothing, the
-        chain is stable."""
+        """Retained fields, module and new-ray fields at depth `depth` of the
+        mode's chain, read on first use; past the first depth that retains
+        nothing, the chain is stable."""
         if mode not in self._chains:
             self._chains[mode] = ([], chain_depths(self.system, mode))
         depths, rest = self._chains[mode]
@@ -193,7 +201,7 @@ class AnalysisSession:
     @_once
     def _columns(self, mode, depth):
         """Chain columns through depth `depth` and the module they span."""
-        retained, module = self._depth(mode, depth)
+        retained, module, _ = self._depth(mode, depth)
         cols = self._columns(mode, depth - 1)[0] if depth else ()
         return cols + retained, module
 
@@ -211,8 +219,8 @@ class AnalysisSession:
         for depth in range(1, self.max_depth + 1):
             if not self._depth(mode, depth)[0]:
                 steps = [self._depth(mode, k) for k in range(depth)]
-                return ChainResult(mode, depth - 1, tuple(r for r, _ in steps), steps[-1][1],
-                                   tuple(len(m._basis()) for _, m in steps))
+                return ChainResult(mode, depth - 1, tuple(s[0] for s in steps), steps[-1][1],
+                                   tuple(len(s[1]._basis()) for s in steps))
         raise CapReached("module chain", self.max_depth)
 
     def limit_matrix(self, mode):

@@ -4,6 +4,7 @@ column pruning, and certified generic rank."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import lcm, prod
 from random import Random
 from typing import NamedTuple
 
@@ -161,34 +162,34 @@ def reduce_columns(columns):
 
 
 def rational_rank(rows):
-    """Rank of a matrix of exact rationals by Gaussian elimination."""
-    M = [list(r) for r in rows]
+    """Rank of a matrix of exact rationals or integers.
+
+    Each row is scaled by the lcm of its denominators, then Bareiss's
+    fraction-free elimination (Bareiss 1968) runs over the integers.  After
+    k pivots every entry below them is a (k+1) x (k+1) minor of the scaled
+    matrix, so each division by the previous pivot is exact.
+    """
+    M = []
+    for row in rows:
+        den = lcm(*[int(a.denominator) for a in row])
+        M.append([int(a.numerator) * (den // int(a.denominator)) for a in row])
     n = len(M)
-    m = len(M[0]) if n else 0
-    rank = 0
-    col = 0
-    while rank < n and col < m:
-        pivot = None
-        for i in range(rank, n):
-            if M[i][col]:
-                pivot = i
-                break
+    rank, prev = 0, 1
+    for col in range(len(M[0]) if n else 0):
+        pivot = next((i for i in range(rank, n) if M[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         M[rank], M[pivot] = M[pivot], M[rank]
-        pv = M[rank][col]
+        top = M[rank]
+        pv = top[col]
         for i in range(rank + 1, n):
-            f = M[i][col] / pv
-            if f:
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
+            f = M[i][col]
+            M[i] = [(pv * a - f * b) // prev for a, b in zip(M[i], top)]
+        prev = pv
         rank += 1
-        col += 1
+        if rank == n:
+            break
     return rank
-
-
-def matrix_rank_at(matrix, point):
-    return rational_rank(matrix.evaluate(point))
 
 
 class GenericRank(NamedTuple):
@@ -196,23 +197,37 @@ class GenericRank(NamedTuple):
     witness: tuple  # sample point achieving the rank, or None
 
 
+def _integer_entries(matrix):
+    """The entries as (exponents, int) terms, each column scaled by the lcm
+    of its denominators, which leaves the rank at every point unchanged."""
+    rows = [[list(e.coeffs.items()) for e in row] for row in matrix.entries]
+    for j in range(matrix.ncols):
+        den = lcm(*[int(c.denominator) for row in rows for _, c in row[j]])
+        for row in rows:
+            row[j] = [(m, int(c.numerator) * (den // int(c.denominator))) for m, c in row[j]]
+    return rows
+
+
 def generic_rank(matrix, seed=0, samples=5, span=1000, module=None):
     """Exact maximal rank of the matrix over all real points.
 
-    Random integer points give a fast lower bound with a witness.  Below
-    full size the value is certified as the rank over Q(x), read off a
-    Groebner basis of the column module.  A caller that already holds a
-    PolySubmodule spanned by exactly the matrix columns (a ChainResult's
-    module) passes it as module, and its cached basis is used.
+    Random integer points give a fast lower bound with a witness; the matrix
+    is scaled to integer coefficients once, column by column, and sampled in
+    integers.  Below full size the value is certified as the rank over Q(x),
+    read off a Groebner basis of the column module.  A caller that already
+    holds a PolySubmodule spanned by exactly the matrix columns (a chain
+    depth's module) passes it as module, and its cached basis is used.
     """
     n, m = matrix.nrows, matrix.ncols
     cap = min(n, m)
     rng = Random(seed)
+    entries = _integer_entries(matrix)
     best = 0
     witness = None
     for _ in range(samples):
         point = [rng.randint(-span, span) for _ in range(len(matrix.vars))]
-        r = rational_rank(matrix.evaluate(point))
+        r = rational_rank([[sum(c * prod(map(pow, point, mono)) for mono, c in e)
+                            for e in row] for row in entries])
         if r > best:
             best = r
             witness = tuple(Q(v) for v in point)

@@ -352,7 +352,10 @@ def chain_depths(system, mode="accessibility"):
     """The ascending chain of bracket-generated submodules, one depth at a
     time: yields the generator fields retained at depth 0, 1, 2, ... with
     the module they span together with every depth before, and ends after
-    the first depth past 0 that retains nothing.
+    the first depth past 0 that retains nothing.  Each depth also yields
+    its fields that landed on a new ray, as {ray_key: field} in the order
+    found and taken before reduction: the nonzero generators, first of each
+    ray, at depth 0, and the new-ray brackets after that.
 
     Depth k+1 only brackets the generators retained at depth k: brackets of
     module combinations split into combinations of the retained brackets and
@@ -364,17 +367,18 @@ def chain_depths(system, mode="accessibility"):
     """
     vars = system.vars
     dim = system.dimension
-    seeds = []
+    seeds, fresh = [], {}
     for g in system.generators(mode):
         if not g.is_zero() and g not in seeds:
             seeds.append(g)
-    rays = {ray_key(g) for g in seeds}
+            fresh.setdefault(ray_key(g), g)
+    rays = set(fresh)
     ops = system.operators()
     module = PolySubmodule(vars, dim, seeds, system.generators(mode)[0].components[0].order)
     frontier = tuple(seeds)
-    yield frontier, module
+    yield frontier, module, fresh
     while True:
-        retained = []
+        retained, fresh = [], {}
         for X in ops:
             for e in frontier:
                 br = lie_bracket(X, e)
@@ -384,10 +388,11 @@ def chain_depths(system, mode="accessibility"):
                 if ray in rays:
                     continue
                 rays.add(ray)
+                fresh[ray] = br
                 nf, module = module.adjoin(br)
                 if nf:
                     retained.append(dict_to_field(vars, dim, nf, br.label, module.order))
-        yield tuple(retained), module
+        yield tuple(retained), module, fresh
         if not retained:
             return
         frontier = retained

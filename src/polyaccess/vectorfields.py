@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .poly import Polynomial, VarTable, _mul_into
 
 
@@ -46,18 +48,6 @@ class VectorField:
 
     def evaluate(self, point):
         return tuple(c.evaluate(point) for c in self.components)
-
-    def normalized(self):
-        """Scale so the first nonzero component is monic; canonical within
-        the ray {c*v : c rational, c != 0}."""
-        for comp in self.components:
-            if not comp.is_zero():
-                lc = comp.leading_coefficient()
-                if lc == 1:
-                    return self
-                inv = 1 / lc
-                return VectorField((c * inv for c in self.components), self.label)
-        return self
 
     def __str__(self):
         body = ", ".join(str(c) for c in self.components)
@@ -187,8 +177,18 @@ class BracketFamily:
 
 
 def ray_key(field):
-    v = field.normalized()
-    return tuple(frozenset(c.coeffs.items()) for c in v.components)
+    """Key shared by exactly the nonzero rational multiples of a nonzero
+    field: its primitive integer vector of ((position, exponents), int)
+    terms, with denominators cleared, the numerators' gcd divided out and
+    the sign fixed so the largest (position, exponents) term is positive."""
+    terms = [((i, m), c) for i, comp in enumerate(field.components)
+             for m, c in comp.coeffs.items()]
+    den = lcm(*[int(c.denominator) for _, c in terms])
+    ints = [(t, int(c.numerator) * (den // int(c.denominator))) for t, c in terms]
+    g = gcd(*[c for _, c in ints])
+    if max(ints)[1] < 0:
+        g = -g
+    return frozenset([(t, c // g) for t, c in ints])
 
 
 def extend_family(family):

@@ -12,6 +12,7 @@ from polyaccess import (
     VarTable,
     VectorField,
     bound_analysis,
+    extend_family,
     closure_singular_analysis,
     exact_index_analysis,
     generic_test,
@@ -23,6 +24,7 @@ from polyaccess import (
     strong_analysis,
 )
 from polyaccess.analysis import AnalysisSession
+from polyaccess.vectorfields import BracketFamily
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -243,6 +245,47 @@ class TestSession:
         for a, b in zip(shared, fresh):
             assert replace(a, singular_ideal=None) == replace(b, singular_ideal=None)
             assert a.singular_generators() == b.singular_generators()
+
+
+def proportional_inputs():
+    f = vf(("x2^2", "x1"), "f")
+    g1 = vf(("x1/2", "-x2/3"), "g1")
+    g2 = VectorField([c * Q(-2, 3) for c in g1.components], "g2")  # on g1's ray
+    return SystemSpec(V2, f, [g1, g2, vf(("x1*x2", "1/5"), "g3")])
+
+
+def zero_input():
+    zero = VectorField([Polynomial.zero(V3)] * 3, "g0")
+    f = vf(("x2", "x3^2/2", "-x1"), "f", V3)
+    return SystemSpec(V3, f, [zero, vf(("1", "x1", "0"), "g1", V3),
+                              vf(("-2", "-2*x1", "0"), "g2", V3)])
+
+
+def zero_drift():
+    zero = VectorField([Polynomial.zero(V3)] * 3, "f")
+    return SystemSpec(V3, zero, [vf(("x2", "0", "x1/3"), "g1", V3),
+                                 vf(("0", "x3", "-x2"), "g2", V3)])
+
+
+class TestFamily:
+    @pytest.mark.parametrize("system", [planar, circle, proportional_inputs, zero_input,
+                                        zero_drift, rank_deficient, all_zero])
+    @pytest.mark.parametrize("mode", ["accessibility", "strong"])
+    def test_matches_extend_family(self, system, mode):
+        """The session's family, with generations 0 and 1 taken from the
+        chain, has the labels and components of BracketFamily.initial
+        extended by extend_family, at every depth."""
+        sys_ = system()
+        expected = [BracketFamily.initial(sys_, mode)]
+        for _ in range(3):
+            expected.append(extend_family(expected[-1]))
+        session = AnalysisSession(sys_)
+        got = [session.family(mode, depth) for depth in range(4)]
+        got.append(AnalysisSession(sys_).family(mode, 3))  # asked deep first
+        for fam, ref in zip(got, expected + expected[-1:], strict=True):
+            for a, b in zip(fam.generations, ref.generations, strict=True):
+                assert [v.label for v in a] == [v.label for v in b]
+                assert a == b
 
 
 class TestRankThreshold:

@@ -232,11 +232,12 @@ class TestOneSessionPerRun:
 
     def test_circle3d_full(self, monkeypatch, capsys):
         """full computes each family depth, chain and closure once: brackets to
-        depth 1 for accessibility and depth 2 for strong, one chain per mode."""
+        depth 1 for accessibility and depth 2 for strong, one chain per mode,
+        with each mode's family depth 1 taken from its chain."""
         counts = self._full_calls(monkeypatch, capsys, "circle3d")
         assert counts["chain_depths"] == 2
         assert counts["invariant_closure"] <= 1
-        assert counts["extend_family"] <= 3
+        assert counts["extend_family"] == 1
 
     def test_pendulum_full(self, monkeypatch, capsys):
         """Every route shares one chain per mode of the cart-pole."""
@@ -256,6 +257,18 @@ class TestOneSessionPerRun:
         counts = self._full_calls(monkeypatch, capsys, name)
         assert counts["module_buchberger"] == bases
         assert counts["adjoin"] == adjoins
+
+    @pytest.mark.parametrize("name, extensions", [
+        ("planar", 2),
+        ("circle3d", 1),
+        ("unicycle", 6),
+        ("pendulum", 10),
+    ])
+    def test_family_extensions(self, monkeypatch, capsys, name, extensions):
+        """Each mode's bracket family takes generations 0 and 1 from its
+        chain: full brackets only this many deeper generations."""
+        counts = self._full_calls(monkeypatch, capsys, name)
+        assert counts["extend_family"] == extensions
 
 
 class TestDerivativeReuse:

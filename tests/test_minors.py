@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import lcm
 
 import pytest
 import sympy
@@ -22,7 +23,7 @@ from polyaccess import (
     rational_rank,
     reduce_columns,
 )
-from polyaccess.minors import determinant, matrix_rank_at
+from polyaccess.minors import GenericRank, determinant
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -82,13 +83,22 @@ class TestDeterminant:
                     - mat.det(method="berkowitz")) == 0
 
     def test_rational_rows(self):
-        """rational_rank matches a symbolic engine on rational matrices."""
-        rng = random.Random(67)
-        for _ in range(15):
-            rows = [[Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
-                    for _ in range(3)]
-            mat = sympy.Matrix([[sympy.Rational(str(v)) for v in row]
-                                for row in rows])
+        """rational_rank matches a symbolic engine on rows with mixed
+        denominators and on integer rows, in every shape up to 5 x 5, with
+        rank deficits and zero columns."""
+        rng = random.Random(83)
+        for trial in range(150):
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            base = [[Q(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(m)]
+                    for _ in range(rng.randint(1, min(n, m)))]
+            zero = set(rng.sample(range(m), rng.randint(0, m - 1)))
+            rows = [[Q(0) if j in zero else
+                     sum(Q(rng.randint(-2, 2), rng.randint(1, 5)) * b[j] for b in base)
+                     for j in range(m)] for _ in range(n)]
+            if trial % 2:  # the same ranks on integer rows
+                rows = [[int(v * lcm(*(u.denominator for u in row))) for v in row]
+                        for row in rows]
+            mat = sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in rows])
             assert rational_rank(rows) == mat.rank()
 
 
@@ -183,7 +193,7 @@ class TestReduceColumns:
         M1 = build_matrix(kept)
         for _ in range(25):
             pt = [Q(rng.randint(-6, 6)) for _ in range(2)]
-            assert matrix_rank_at(M0, pt) == matrix_rank_at(M1, pt)
+            assert rational_rank(M0.evaluate(pt)) == rational_rank(M1.evaluate(pt))
 
     def test_minor_ideals_preserved(self):
         """Reduction preserves every minor ideal."""
@@ -242,6 +252,36 @@ class TestGenericRank:
         assert generic_rank(M).rank == r
         # no samples: the rank comes from the column module alone
         assert generic_rank(M, samples=0).rank == r
+
+    @pytest.mark.parametrize("columns", [
+        (("x1/2", "1/3"), ("x2/5", "-x1*x2/7")),
+        (("x1/2", "1/3"), ("x1^2/3", "2*x1/9")),  # second = 2/3 x1 times first
+        (("x1/2", "1/3", "-x2/4"), ("x2/5", "-x1*x2/7", "3/2"), ("x1/6", "x1/9", "-x1*x2/12")),
+    ])
+    def test_fractional_coefficients(self, columns):
+        """With fractional coefficients, sampling in integers finds the rank
+        and witness that sampling the rational matrix at the same points
+        finds, for seeds 0-20, and the sampled rank holds at the witness."""
+        M = build_matrix([vf(texts, f"c{j}") for j, texts in enumerate(columns)])
+        cap = min(M.nrows, M.ncols)
+        certified = generic_rank(M, samples=0).rank
+        for seed in range(21):
+            rng = random.Random(seed)
+            best, witness = 0, None
+            for _ in range(5):
+                point = tuple(Q(rng.randint(-1000, 1000)) for _ in M.vars)
+                r = sympy.Matrix([[sympy.Rational(str(v)) for v in row]
+                                  for row in M.evaluate(point)]).rank()
+                if r > best:
+                    best, witness = r, point
+                if best == cap:
+                    break
+            expected = (GenericRank(best, witness) if best == cap else
+                        GenericRank(certified, witness if certified == best else None))
+            res = generic_rank(M, seed=seed)
+            assert res == expected
+            assert res.witness is not None
+            assert rational_rank(M.evaluate(res.witness)) == res.rank
 
     def test_seed_stability(self):
         """The certified rank does not depend on the seed."""

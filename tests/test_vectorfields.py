@@ -17,7 +17,7 @@ from polyaccess import (
     parse_polynomial,
 )
 from polyaccess.rationals import Q
-from polyaccess.vectorfields import BracketFamily
+from polyaccess.vectorfields import BracketFamily, ray_key
 
 V3 = VarTable(("x1", "x2", "x3"))
 
@@ -211,3 +211,74 @@ class TestBracketFamily:
         # [g1,g2] = (-x2, 0) = -g1 and [g2,g1] = g1: both land on g1's ray.
         fam = extend_family(BracketFamily.initial(sys_))
         assert fam.generations[1] == []
+
+
+def _ray_key_reference(field):
+    """Key by the field scaled so its first nonzero component is monic, as
+    brackets were once keyed."""
+    for comp in field.components:
+        if not comp.is_zero():
+            inv = 1 / comp.leading_coefficient()
+            return tuple(frozenset((c * inv).coeffs.items()) for c in field.components)
+
+
+def random_rational_field(rng, vars, label):
+    """A nonzero field with non-integral coefficients of both signs, and
+    zero components at times."""
+    while True:
+        comps = []
+        for _ in range(len(vars)):
+            acc = Polynomial.zero(vars)
+            for _ in range(rng.randint(0, 3)):
+                mono = tuple(rng.randint(0, 2) for _ in vars)
+                c = Q(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 9))
+                acc = acc + Polynomial.from_terms(vars, [(c, mono)])
+            comps.append(acc)
+        field = VectorField(comps, label)
+        if not field.is_zero():
+            return field
+
+
+def scaled(field, c):
+    return VectorField([comp * c for comp in field.components], field.label)
+
+
+class TestRayKey:
+    def test_scaling_invariant(self):
+        """Every nonzero rational multiple of a field has the field's key."""
+        rng = random.Random(73)
+        for _ in range(200):
+            v = random_rational_field(rng, V3, "v")
+            c = Q(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40))
+            assert ray_key(scaled(v, c)) == ray_key(v)
+
+    def test_matches_reference(self):
+        """Two fields share a key exactly when they share the reference key,
+        over a pool of random fields, their multiples, and near misses that
+        keep the support and change one coefficient."""
+        rng = random.Random(79)
+        pool = []
+        for _ in range(40):
+            v = random_rational_field(rng, V3, "v")
+            pool.append(v)
+            pool.append(scaled(v, Q(-2, 3)))
+            comps = list(v.components)
+            i = next(k for k, comp in enumerate(comps) if comp)
+            mono = max(comps[i].coeffs)
+            comps[i] = comps[i] + Polynomial.from_terms(V3, [(Q(1, 7), mono)])
+            pool.append(VectorField(comps, "near"))
+        keys = [ray_key(v) for v in pool]
+        refs = [_ray_key_reference(v) for v in pool]
+        same = 0
+        for a in range(len(pool)):
+            for b in range(a + 1, len(pool)):
+                assert (keys[a] == keys[b]) == (refs[a] == refs[b])
+                same += refs[a] == refs[b]
+        assert 40 <= same < len(pool) * (len(pool) - 1) // 2
+
+    def test_sign_and_support(self):
+        """Opposite fields share a key; fields that differ only in which
+        component holds a term do not."""
+        v = vf(("x1/2", "-x2/3", "0"), "v")
+        assert ray_key(v) == ray_key(vf(("-3*x1", "2*x2", "0"), "w"))
+        assert ray_key(vf(("x1", "0", "0"), "a")) != ray_key(vf(("0", "x1", "0"), "b"))
