@@ -4,7 +4,6 @@ accessibility, and restricted-rank singular loci."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import wraps
 from random import Random
 from typing import NamedTuple
@@ -38,8 +37,7 @@ ROUTE_MODULE = "module-bound"
 ROUTE_RANK_L = "rank-threshold"
 
 
-@dataclass
-class ChainRecord:
+class ChainRecord(NamedTuple):
     """One depth of a chain trace; fields are filled by whichever route ran."""
 
     depth: int
@@ -70,8 +68,7 @@ class ChainResult(NamedTuple):
         return tuple(out)
 
 
-@dataclass
-class GenericTestResult:
+class GenericTestResult(NamedTuple):
     mode: str
     rank: int
     verdict: str
@@ -80,8 +77,7 @@ class GenericTestResult:
     records: tuple
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     mode: str
     route: str
     generic_rank: int
@@ -94,7 +90,7 @@ class AnalysisReport:
     planar_depth_bound: int = None  # 6d^2 - 2d + 2 when n = 2
     capped: bool = False
     notes: tuple = ()
-    matrix: object = field(default=None, repr=False, compare=False)
+    matrix: object = None  # for sample_check; compared by identity
 
     def singular_generators(self):
         if self.singular_ideal is None:
@@ -294,24 +290,25 @@ class AnalysisSession:
         for k in range(gt.k_star, self.max_depth + 1):
             I_k = self.minors(mode, k, n)
             rr = real_radical_restricted(I_k)
+            unsupported = isinstance(rr, Unsupported)
             record = ChainRecord(depth=k, family_size=self._family_size(mode, k),
-                                 minor_generators=I_k.groebner_basis())
-            trace.append(record)
-            if isinstance(rr, Unsupported):
-                record.radical_status = rr.reason
+                                 minor_generators=I_k.groebner_basis(),
+                                 radical_status=rr.reason if unsupported else "supported")
+            if unsupported:
+                trace.append(record)
                 return self._report(
                     mode, ROUTE_EXACT, None, trace=trace, matrix=self.matrix(mode, k),
                     notes=(f"real radical unsupported at depth {k}: {rr.reason}",))
-            record.radical_status = "supported"
             inv = is_invariant(rr, ops)
             if inv.invariant:
+                trace.append(record)
                 kind = INDEX_EXACT_R if mode == "accessibility" else INDEX_EXACT_L
                 return self._report(mode, ROUTE_EXACT, rr, kind, k, trace,
                                     matrix=self.matrix(mode, k))
-            record.invariance_witness = (
+            trace.append(record._replace(invariance_witness=(
                 f"L along {inv.field_label} of {inv.generator} leaves the ideal "
                 f"(residue {inv.residue})"
-            )
+            )))
         raise CapReached("exact index search", self.max_depth)
 
     def index(self, mode, auto_route=True):
@@ -327,8 +324,7 @@ class AnalysisSession:
         if report.singular_ideal is not None or not auto_route:
             return report
         singular, rounds, _ = self._closure(mode)
-        return replace(
-            report,
+        return report._replace(
             route=ROUTE_CLOSURE,
             singular_ideal=singular,
             chain_trace=report.chain_trace + rounds,

@@ -372,8 +372,9 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapReached as e:
+        hint = "" if e.what == "module chain" else " or use the bound command"
         message = (f"cap reached: {e.what} stopped at depth {e.cap} without a "
-                   f"result; raise --max-depth or use the bound command")
+                   f"result; raise --max-depth{hint}")
         if args.strict:
             print(f"error: {message}", file=sys.stderr)
             return 3

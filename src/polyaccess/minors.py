@@ -134,9 +134,8 @@ def minor_ideal(matrix, size):
     seen = set()
     for d in _leaf_minors(matrix.entries, root, -1, size):
         d = d.monic()
-        k = frozenset(d.coeffs.items())
-        if k not in seen:
-            seen.add(k)
+        if d not in seen:
+            seen.add(d)
             gens.append(d)
     key = first.order.key
     gens.sort(key=lambda g: key(g.leading_monomial()), reverse=True)

@@ -22,6 +22,7 @@ nonzero.  In Q[x]^1 every element is led in the last position.
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 
 from .poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
 from .rationals import ONE, ZERO
@@ -44,28 +45,20 @@ def dict_to_field(vars, dim, d, label, order=DEGREVLEX):
     return VectorField(polys, label)
 
 
-def _mv_key(order):
-    key = order.key
-
-    def keyf(term):
-        pos, mono = term
-        return (-pos, key(mono))
-
-    return keyf
-
-
 def _mv_negkey(order):
+    """Heap key of (position, monomial) terms: the smallest is the largest
+    term, position over term with earlier positions larger."""
     negkey = order.negkey
     return lambda term: (term[0], negkey(term[1]))
 
 
-def _mv_lt(d, keyf):
-    term = max(d, key=keyf)
+def _mv_lt(d, negf):
+    term = min(d, key=negf)
     return term, d[term]
 
 
-def _mv_monic(d, keyf):
-    _, lc = _mv_lt(d, keyf)
+def _mv_monic(d, negf):
+    _, lc = _mv_lt(d, negf)
     if lc == ONE:
         return d
     inv = ONE / lc
@@ -86,33 +79,35 @@ def _mv_reduce(d, reducers, order):
     if not reducers:
         return dict(d)
     negf = _mv_negkey(order)
+    heappop, heappush, reducers_at = heapq.heappop, heapq.heappush, reducers.get
     work = dict(d)
     remainder = {}
     heap = [(negf(t), t) for t in work]
     heapq.heapify(heap)
     while heap:
-        _, t = heapq.heappop(heap)
+        _, t = heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
         pos, mono = t
-        for lm, rd in reducers.get(pos, ()):
-            if mono_divides(lm, mono):
+        for lm, rd in reducers_at(pos, ()):
+            if all(map(le, lm, mono)):
                 break
         else:
             remainder[t] = c
             continue
-        shift = mono_div(mono, lm)
+        shift = tuple(map(sub, mono, lm))
+        c = -c
         for (bp, bm), bc in rd.items():
             if bp == pos and bm == lm:
                 continue
-            tt = (bp, mono_mul(bm, shift))
+            tt = (bp, tuple(map(add, bm, shift)))
             v = work.get(tt)
             if v is None:
-                work[tt] = -c * bc
-                heapq.heappush(heap, (negf(tt), tt))
+                work[tt] = c * bc
+                heappush(heap, (negf(tt), tt))
             else:
-                v = v - c * bc
+                v = v + c * bc
                 if v:
                     work[tt] = v
                 else:
@@ -187,7 +182,7 @@ def module_buchberger(gens, order, dim, basis=()):
     others.  Each output element has its leading term as its first key, and
     the elements of basis must too.
     """
-    keyf = _mv_key(order)
+    negf = _mv_negkey(order)
     key = order.key
     G = []  # every element ever added; retired ones stay for the pair indices
     lms = []
@@ -196,7 +191,7 @@ def module_buchberger(gens, order, dim, basis=()):
     reducers = {}  # position -> [(lm, element)] of the active elements
 
     def insert(d):
-        (pos, lm), lc = _mv_lt(d, keyf)
+        (pos, lm), lc = _mv_lt(d, negf)
         if lc != ONE:
             inv = ONE / lc
             d = {t: c * inv for t, c in d.items()}
@@ -212,7 +207,8 @@ def module_buchberger(gens, order, dim, basis=()):
         lms.append(lm)
         active.setdefault(pos, []).append(len(G) - 1)
         reducers.setdefault(pos, []).append((lm, d))
-    for d in sorted(filter(None, gens), key=lambda d: keyf(_mv_lt(d, keyf)[0])):
+    # ascending leading terms; reverse=True keeps ties in input order
+    for d in sorted(filter(None, gens), key=lambda d: negf(_mv_lt(d, negf)[0]), reverse=True):
         h = _mv_reduce(d, reducers, order)
         if h:
             insert(h)
@@ -241,8 +237,8 @@ def module_buchberger(gens, order, dim, basis=()):
         for lm, d in held:
             lt = (pos, lm)
             tail = {t: c for t, c in d.items() if t != lt}
-            out.append((keyf(lt), {lt: ONE, **_mv_reduce(tail, reducers, order)}))
-    out.sort(key=lambda e: e[0], reverse=True)
+            out.append((negf(lt), {lt: ONE, **_mv_reduce(tail, reducers, order)}))
+    out.sort(key=lambda e: e[0])
     return tuple(d for _, d in out)
 
 
@@ -341,7 +337,7 @@ class PolySubmodule:
         d = self._reduced(vec)
         if not d:
             return self._unvec(d), self
-        nf = self._unvec(_mv_monic(d, _mv_key(self.order)))
+        nf = self._unvec(_mv_monic(d, _mv_negkey(self.order)))
         return nf, self.extended([nf])
 
     def __repr__(self):

@@ -13,6 +13,7 @@ import re
 from functools import cache, reduce
 from itertools import count, zip_longest
 from math import gcd, isqrt, lcm, prod
+from operator import add, le, sub
 
 from .errors import ParseError
 from .rationals import ONE, Q, ZERO
@@ -158,25 +159,25 @@ class BlockOrder:
 # Monomials are plain exponent tuples.
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True if a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """a / b, assuming b | a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def _mul_into(acc, a, b, sign=1):
@@ -185,7 +186,7 @@ def _mul_into(acc, a, b, sign=1):
         if sign < 0:
             ca = -ca
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             v = acc.get(m)
             if v is None:
                 acc[m] = ca * cb
@@ -253,10 +254,8 @@ class Polynomial:
     @property
     def terms(self):
         """Term list [(coefficient, monomial), ...], strictly descending."""
-        key = self.order.key
-        return tuple(
-            (self.coeffs[m], m) for m in sorted(self.coeffs, key=key, reverse=True)
-        )
+        coeffs = self.coeffs
+        return tuple((coeffs[m], m) for m in sorted(coeffs, key=self.order.negkey))
 
     def is_zero(self):
         return not self.coeffs
@@ -283,8 +282,7 @@ class Polynomial:
         if self._lt is None:
             if not self.coeffs:
                 raise ValueError("zero polynomial has no leading term")
-            key = self.order.key
-            mono = max(self.coeffs, key=key)
+            mono = min(self.coeffs, key=self.order.negkey)
             self._lt = (self.coeffs[mono], mono)
         return self._lt
 
@@ -536,17 +534,17 @@ def exact_div(p, d):
     dc, dm = d.lt()
     work = dict(p.coeffs)
     quot = {}
-    key = p.order.key
+    negkey = p.order.negkey
     while work:
-        m = max(work, key=key)
+        m = min(work, key=negkey)
         c = work[m]
-        if not mono_divides(dm, m):
+        if not all(map(le, dm, m)):
             raise ValueError("division is not exact")
-        qm = mono_div(m, dm)
+        qm = tuple(map(sub, m, dm))
         qc = c / dc
         quot[qm] = qc
         for m2, c2 in d.coeffs.items():
-            mm = tuple(x + y for x, y in zip(qm, m2))
+            mm = tuple(map(add, qm, m2))
             v = work.get(mm, ZERO) - qc * c2
             if v:
                 work[mm] = v

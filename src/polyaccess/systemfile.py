@@ -4,7 +4,7 @@ transcendental parts, and default analysis options."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .immersion import AnalyticSystem, Entry, ImmersionMap, derive_immersed
@@ -21,12 +21,12 @@ DEFAULTS = {
     "mode": "accessibility",
     "rank-threshold": None,
 }
+POSITIVE_KEYS = ("max-depth", "rank-threshold")
 _KEYWORDS = ("vars", "drift", "input", "immersion", "options")
 _RESERVED = set(_KEYWORDS) | {"targets", "relation", "sin", "cos"}
 
 
-@dataclass
-class ParsedFile:
+class ParsedFile(NamedTuple):
     name: str
     system: SystemSpec
     source_vars: VarTable
@@ -182,7 +182,7 @@ def _parse_options(block):
                 number = int(value)
             except ValueError:
                 raise ParseError(f"{key} needs an integer", lineno, col) from None
-            if key != "seed" and number <= 0:
+            if key in POSITIVE_KEYS and number <= 0:
                 raise ParseError(f"{key} must be positive", lineno, col)
             opts[key] = number
     return opts
@@ -326,12 +326,15 @@ def _single_var_index(p):
 
 def parse_file(text, name=None, overrides=None):
     """Parse a system description; overrides (from CLI flags) take precedence
-    over the file's options block."""
+    over the file's options block.  A max-depth or rank-threshold override
+    that is not positive raises ValueError, as the file's option does."""
     sec = _classify(text)
     options = _parse_options(sec.options)
     if overrides:
         for key, value in overrides.items():
             if value is not None:
+                if key in POSITIVE_KEYS and value <= 0:
+                    raise ValueError(f"{key} must be positive")
                 options[key] = value
     order = ORDERS[options["order"]]
     if sec.vars is None:

@@ -1,7 +1,5 @@
 """End-to-end analyses: generic test, exact index, closure, bounds, ranks."""
 
-from dataclasses import replace
-
 import pytest
 
 from polyaccess import (
@@ -243,7 +241,8 @@ class TestSession:
                  exact_index_analysis(circle()), closure_singular_analysis(circle()),
                  rank_l_analysis(circle(), 2)]
         for a, b in zip(shared, fresh):
-            assert replace(a, singular_ideal=None) == replace(b, singular_ideal=None)
+            assert (a._replace(singular_ideal=None, matrix=None)
+                    == b._replace(singular_ideal=None, matrix=None))
             assert a.singular_generators() == b.singular_generators()
 
 

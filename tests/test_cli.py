@@ -174,6 +174,29 @@ class TestExitCodes:
         assert main(["index", planar_file, "--max-depth", "1"]) == 0
         assert "cap reached" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["index", "bound"])
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_nonpositive_max_depth(self, planar_file, capsys, command, depth):
+        """--max-depth gets the check of the file's max-depth option: a cap
+        below 1 exits 2 before any analysis."""
+        assert main([command, planar_file, "--max-depth", depth, "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "max-depth must be positive" in err
+        assert "cap reached" not in err
+
+    def test_cap_hint(self, planar_file, capsys):
+        """The cap message suggests the bound command only when a stage
+        other than the module chain stopped: planar's chain is stable at
+        depth 2, so a cap of 1 stops the bound command's own chain."""
+        assert main(["bound", planar_file, "--max-depth", "1", "--strict"]) == 3
+        err = capsys.readouterr().err
+        assert "module chain stopped at depth 1" in err
+        assert err.rstrip().endswith("raise --max-depth")
+        assert main(["index", planar_file, "--max-depth", "1", "--strict"]) == 3
+        err = capsys.readouterr().err
+        assert "exact index search stopped at depth 1" in err
+        assert err.rstrip().endswith("raise --max-depth or use the bound command")
+
     def test_rank_without_threshold(self, planar_file, capsys):
         """rank needs --l or a file rank-threshold."""
         assert main(["rank", planar_file]) == 2

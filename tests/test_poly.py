@@ -19,6 +19,7 @@ from polyaccess import (
     VarTable,
     parse_polynomial,
 )
+from polyaccess.modules import _mv_lt, _mv_negkey
 from polyaccess.poly import _degree_bounds, _point, _prime, poly_gcd, squarefree_part
 from polyaccess.rationals import Q
 
@@ -181,6 +182,26 @@ class TestNegkey:
             assert order.negkey(a) == _negkey_reference(order.key(a))
             for b in monos:
                 assert (order.negkey(a) < order.negkey(b)) == (order.key(a) > order.key(b))
+
+    @pytest.mark.parametrize("order", ORDERS, ids=repr)
+    def test_selection_matches_key(self, order):
+        """lt(), terms and the module engine's leading term, all selected by
+        negkey, are the max and the descending sort by key."""
+        rng = random.Random(43)
+        V4 = VarTable(("x1", "x2", "x3", "x4"))
+        negf = _mv_negkey(order)
+        for _ in range(40):
+            f = random_poly(rng, V4, max_deg=5, terms=7).with_order(order)
+            if f:
+                top = max(f.coeffs, key=order.key)
+                assert f.lt() == (f.coeffs[top], top)
+                assert [m for _, m in f.terms] == sorted(f.coeffs, key=order.key, reverse=True)
+            vec = {(pos, m): c
+                   for pos in rng.sample(range(3), rng.randint(1, 3))
+                   for m, c in random_poly(rng, V4, max_deg=5, terms=5).coeffs.items()}
+            if vec:
+                top = max(vec, key=lambda t: (-t[0], order.key(t[1])))
+                assert _mv_lt(vec, negf) == (top, vec[top])
 
 
 class TestParsing:

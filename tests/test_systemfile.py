@@ -114,6 +114,15 @@ class TestOptions:
         assert opts["seed"] == 7
         assert opts["order"] == "degrevlex"
 
+    def test_overrides_checked(self):
+        """Overrides get the file options' checks: a non-positive max-depth
+        is rejected, a non-positive seed is not."""
+        text = "vars x1\ninput g: x1\n"
+        for value in (0, -1):
+            with pytest.raises(ValueError, match="max-depth must be positive"):
+                parse_file(text, overrides={"max-depth": value})
+        assert parse_file(text, overrides={"seed": -3}).options["seed"] == -3
+
 
 class TestImmersionBlock:
     def test_unicycle(self):
