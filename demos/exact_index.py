@@ -1,41 +1,31 @@
 """Walk the exact accessibility-index search on the planar two-input system.
 
-The search extends the bracket family one depth at a time.  At each depth it
-takes the ideal of maximal minors of the bracket matrix, passes to its
-restricted real radical, and tests that radical for invariance under the
-system fields.  The first invariant radical freezes: its depth is the exact
-index r*, and its variety is the limit singular set, so no deeper bracket can
-ever shrink the singular locus further.
+The search reads the module chain one depth at a time.  At each depth it
+takes the ideal of maximal minors of the matrix of the chain's columns,
+passes to its restricted real radical, and tests that radical for invariance
+under the system fields.  The first invariant radical freezes: its depth is
+the exact index r*, and its variety is the limit singular set, so no deeper
+bracket can ever shrink the singular locus further.
 """
 
 from pathlib import Path
 
-from polyaccess import (
-    BracketFamily,
-    build_matrix,
-    exact_index_analysis,
-    extend_family,
-    is_invariant,
-    minor_ideal,
-    parse_file,
-    real_radical_restricted,
-    reduce_columns,
-)
+from polyaccess import is_invariant, parse_file, real_radical_restricted
+from polyaccess.analysis import AnalysisSession
 
 parsed = parse_file((Path(__file__).parent / "systems" / "planar.sys").read_text(),
                     "planar")
 system = parsed.system
+session = AnalysisSession(system)
 
 print("system:", ", ".join(str(g) for g in (system.drift,) + system.inputs))
 print()
 
-fam = BracketFamily.initial(system, "accessibility")
 for depth in range(3):
-    M = build_matrix(reduce_columns(fam.members()))
-    I = minor_ideal(M, system.dimension)
+    I = session.minors("accessibility", depth, system.dimension)
     rr = real_radical_restricted(I)
     inv = is_invariant(rr, system.operators())
-    print(f"depth {depth}: columns {[c.label for c in fam.members()]}")
+    print(f"depth {depth}: columns {list(session.matrix('accessibility', depth).labels)}")
     print(f"  minor ideal      {I}")
     print(f"  real radical     {rr}")
     if inv.invariant:
@@ -43,10 +33,9 @@ for depth in range(3):
     else:
         print(f"  invariant: no, L along {inv.field_label} of {inv.generator} "
               f"leaves residue {inv.residue}")
-    fam = extend_family(fam)
 
 print()
-report = exact_index_analysis(system)
+report = session.index("accessibility")
 print(f"exact index r* = {report.index_value}")
 print("limit singular set: V(" +
       ", ".join(str(g) for g in report.singular_generators()) + ")")

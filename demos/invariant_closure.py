@@ -45,5 +45,5 @@ t = Q(1, 3)
 den = 1 + t * t
 point = [Q(4), (1 - t * t) / den, 2 * t / den]
 values = [g.evaluate(point) for g in report.singular_generators()]
-print(f"all generators vanish at the cylinder point {tuple(point)}:",
+print(f"all generators vanish at the cylinder point ({', '.join(map(str, point))}):",
       all(v == 0 for v in values))

@@ -49,7 +49,8 @@ print()
 print("pulling back onto the image variety...")
 pulled = pull_back_singular(imm, I4)
 print("intersection empty:", pulled.empty, f"({pulled.grade})")
-print("witness image point:", pulled.witness)
+print("witness image point:",
+      pulled.witness and "(" + ", ".join(map(str, pulled.witness)) + ")")
 print("coordinates forced to vanish on the intersection:",
       ", ".join(vanishing_coordinates(pulled.ideal)))
 print()

@@ -19,7 +19,7 @@ from .ideals import (
 from .minors import build_matrix, generic_rank, minor_ideal, rational_rank
 from .modules import chain_depths
 from .rationals import Q
-from .vectorfields import BracketFamily, extend_family
+from .vectorfields import new_brackets
 
 VERDICT_GENERIC = "generically accessible"
 VERDICT_NOWHERE = "nowhere accessible"
@@ -148,8 +148,10 @@ class AnalysisSession:
     invariant closure are each computed on first use and kept.  Routes that
     build on one another (strong on the index search, the index search on
     the closure) read the same objects.  The bracket family is kept only to
-    report its size per depth; its generations 0 and 1 are the fields the
-    chain found on new rays at those depths, so no bracket is formed twice.
+    report its size per depth, as its generations and their ray set.  Its
+    generations 0 and 1 are the fields the chain found on new rays at those
+    depths, so no bracket is formed twice; deeper generations come from the
+    chain's own step, new_brackets, applied to the family's last generation.
     """
 
     def __init__(self, system, max_depth=None, seed=0):
@@ -158,28 +160,29 @@ class AnalysisSession:
         self.max_depth = depth_cap(system, max_depth)
         self.planar_bound = (planar_depth_bound(max(system_degree(system), 1))
                              if system.dimension == 2 else None)
-        self._families = {}  # mode -> family at the deepest depth asked for
+        self._families = {}  # mode -> (generations so far, their rays)
         self._chains = {}  # mode -> (depths read so far, chain_depths generator)
         self._memo = {}
 
     def family(self, mode, depth):
-        """The bracket family through depth `depth`.  Generations 0 and 1 are
-        the chain's new-ray fields at depths 0 and 1: the chain brackets the
-        same operators against its seeds in the same order, and a seed on an
-        earlier seed's ray brackets onto an earlier bracket's ray.  Deeper
-        generations come from extend_family."""
+        """Generations 0..depth of the bracket family.  Generations 0 and 1
+        are the chain's new-ray fields at depths 0 and 1: the chain brackets
+        the same operators against its seeds in the same order, and a seed
+        on an earlier seed's ray brackets onto an earlier bracket's ray.
+        Each deeper generation is new_brackets of the one before."""
         fam = self._families.get(mode)
-        if fam is None or fam.depth < min(depth, 1):
+        if fam is None or len(fam[0]) <= min(depth, 1):
             fresh = [self._depth(mode, k)[2] for k in range(min(depth, 1) + 1)]
-            fam = BracketFamily(self.system, mode, [list(f.values()) for f in fresh],
-                                {ray: v for f in fresh for ray, v in f.items()})
-        while fam.depth < depth:
-            fam = extend_family(fam)
-        self._families[mode] = fam
-        return fam
+            fam = ([list(f.values()) for f in fresh], {ray for f in fresh for ray in f})
+            self._families[mode] = fam
+        gens, rays = fam
+        ops = self.system.operators()
+        while len(gens) <= depth:
+            gens.append(list(new_brackets(ops, gens[-1], rays).values()))
+        return gens[: depth + 1]
 
     def _family_size(self, mode, depth):
-        return len(self.family(mode, depth).members(depth))
+        return sum(map(len, self.family(mode, depth)))
 
     def _depth(self, mode, depth):
         """Retained fields, module and new-ray fields at depth `depth` of the

@@ -16,7 +16,7 @@ from .analysis import (
     INDEX_UNDECIDED,
     AnalysisSession,
 )
-from .errors import CapReached, ClosureError, ParseError
+from .errors import CapReached, ParseError
 from .immersion import pull_back_singular, vanishing_coordinates, verify_immersion
 from .systemfile import entry_text, parse_file
 
@@ -357,17 +357,11 @@ def main(argv=None):
     name = Path(args.file).stem
     try:
         parsed = parse_file(text, name=name, overrides=_overrides(args))
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ClosureError, ValueError) as e:
+    except ValueError as e:  # ParseError and ClosureError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
         lines, doc = _run_command(parsed, args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

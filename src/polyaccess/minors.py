@@ -11,7 +11,7 @@ from typing import NamedTuple
 from .poly import Polynomial
 from .rationals import Q
 from .ideals import Ideal
-from .modules import PolySubmodule, dict_to_field
+from .modules import PolySubmodule
 from .vectorfields import VectorField
 
 
@@ -140,24 +140,6 @@ def minor_ideal(matrix, size):
     key = first.order.key
     gens.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
     return Ideal(matrix.vars, gens)
-
-
-def reduce_columns(columns):
-    """Smaller column list spanning the same submodule of Q[x]^n.
-
-    Each column is replaced by its normal form against the span of the
-    columns already kept, and dropped if that is zero.  Column spans are
-    preserved, so every minor ideal and every pointwise rank is too.
-    """
-    kept = []
-    module = None
-    for col in columns:
-        if module is None:
-            module = PolySubmodule(col.vars, len(col), [], col.components[0].order)
-        nf, module = module.adjoin(col)
-        if nf:
-            kept.append(dict_to_field(col.vars, len(col), nf, col.label, module.order))
-    return tuple(kept)
 
 
 def rational_rank(rows):

@@ -26,7 +26,7 @@ from operator import add, le, sub
 
 from .poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
 from .rationals import ONE, ZERO
-from .vectorfields import VectorField, lie_bracket, ray_key
+from .vectorfields import VectorField, new_brackets, ray_key
 
 
 def field_to_dict(field):
@@ -351,15 +351,16 @@ def chain_depths(system, mode="accessibility"):
     the first depth past 0 that retains nothing.  Each depth also yields
     its fields that landed on a new ray, as {ray_key: field} in the order
     found and taken before reduction: the nonzero generators, first of each
-    ray, at depth 0, and the new-ray brackets after that.
+    ray, at depth 0, and after that new_brackets of the operators against
+    the previous depth's retained fields, adjoined in that order.
 
     Depth k+1 only brackets the generators retained at depth k: brackets of
     module combinations split into combinations of the retained brackets and
     of lower-depth generators, so nothing else can enlarge the module.  A
     bracket that vanishes or lies on the ray of a field already adjoined is
-    a member and is skipped, which also leaves the module's basis unbuilt
-    until a later bracket needs it.  Generators that are all zero span the
-    zero module, stable at depth 0.
+    a member; new_brackets drops it, which also leaves the module's basis
+    unbuilt until a later bracket needs it.  Generators that are all zero
+    span the zero module, stable at depth 0.
     """
     vars = system.vars
     dim = system.dimension
@@ -374,20 +375,12 @@ def chain_depths(system, mode="accessibility"):
     frontier = tuple(seeds)
     yield frontier, module, fresh
     while True:
-        retained, fresh = [], {}
-        for X in ops:
-            for e in frontier:
-                br = lie_bracket(X, e)
-                if br.is_zero():
-                    continue
-                ray = ray_key(br)
-                if ray in rays:
-                    continue
-                rays.add(ray)
-                fresh[ray] = br
-                nf, module = module.adjoin(br)
-                if nf:
-                    retained.append(dict_to_field(vars, dim, nf, br.label, module.order))
+        retained = []
+        fresh = new_brackets(ops, frontier, rays)
+        for br in fresh.values():
+            nf, module = module.adjoin(br)
+            if nf:
+                retained.append(dict_to_field(vars, dim, nf, br.label, module.order))
         yield tuple(retained), module, fresh
         if not retained:
             return

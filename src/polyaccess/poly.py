@@ -64,26 +64,19 @@ class VarTable:
 
 
 class MonomialOrder:
-    """Total order on exponent tuples: degrevlex (default), deglex or lex,
-    optionally composed with a permutation of the variables."""
+    """Total order on exponent tuples: degrevlex (default), deglex or lex."""
 
     KINDS = ("degrevlex", "deglex", "lex")
 
-    __slots__ = ("kind", "permutation")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind="degrevlex", permutation=None):
+    def __init__(self, kind="degrevlex"):
         if kind not in self.KINDS:
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
-        self.permutation = None if permutation is None else tuple(permutation)
-        if self.permutation is not None:
-            if sorted(self.permutation) != list(range(len(self.permutation))):
-                raise ValueError("permutation must reorder 0..n-1")
 
     def key(self, mono):
         """Sort key; larger key = larger monomial."""
-        if self.permutation is not None:
-            mono = tuple(mono[i] for i in self.permutation)
         if self.kind == "lex":
             return mono
         if self.kind == "deglex":
@@ -94,8 +87,6 @@ class MonomialOrder:
     def negkey(self, mono):
         """key(mono) with every integer negated: a min-heap on it pops the
         largest monomial first."""
-        if self.permutation is not None:
-            mono = tuple(mono[i] for i in self.permutation)
         if self.kind == "lex":
             return tuple(-e for e in mono)
         if self.kind == "deglex":
@@ -103,19 +94,13 @@ class MonomialOrder:
         return (-sum(mono), mono[::-1])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.permutation == other.permutation
-        )
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.permutation))
+        return hash(self.kind)
 
     def __repr__(self):
-        if self.permutation is None:
-            return f"MonomialOrder({self.kind!r})"
-        return f"MonomialOrder({self.kind!r}, {self.permutation!r})"
+        return f"MonomialOrder({self.kind!r})"
 
 
 DEGREVLEX = MonomialOrder("degrevlex")

@@ -1,4 +1,4 @@
-"""Polynomial vector fields, Lie operations and iterated bracket families."""
+"""Polynomial vector fields, Lie operations and the new-ray bracket step."""
 
 from __future__ import annotations
 
@@ -130,52 +130,6 @@ class SystemSpec:
         return tuple(ops) + self.inputs
 
 
-class BracketFamily:
-    """Generations of iterated brackets; generation k+1 brackets every
-    operator against generation k only, dropping zero fields and fields
-    that are scalar multiples of one already kept."""
-
-    __slots__ = ("system", "mode", "generations", "_kept")
-
-    def __init__(self, system, mode, generations, kept):
-        self.system = system
-        self.mode = mode
-        self.generations = generations
-        self._kept = kept
-
-    @classmethod
-    def initial(cls, system, mode="accessibility"):
-        kept = {}
-        gen0 = []
-        for field in system.generators(mode):
-            if field.is_zero():
-                continue
-            key = ray_key(field)
-            if key in kept:
-                continue
-            kept[key] = field
-            gen0.append(field)
-        return cls(system, mode, [gen0], kept)
-
-    @property
-    def depth(self):
-        return len(self.generations) - 1
-
-    def members(self, depth=None):
-        """All fields of the family up to the given depth (default: all)."""
-        if depth is None:
-            depth = self.depth
-        if depth > self.depth:
-            raise ValueError(f"family only extends to depth {self.depth}")
-        out = []
-        for gen in self.generations[: depth + 1]:
-            out.extend(gen)
-        return out
-
-    def newest(self):
-        return self.generations[-1]
-
-
 def ray_key(field):
     """Key shared by exactly the nonzero rational multiples of a nonzero
     field: its primitive integer vector of ((position, exponents), int)
@@ -191,20 +145,18 @@ def ray_key(field):
     return frozenset([(t, c // g) for t, c in ints])
 
 
-def extend_family(family):
-    """Family one depth deeper; shares the existing generations."""
-    kept = dict(family._kept)
-    new_gen = []
-    for op in family.system.operators():
-        for w in family.newest():
-            b = lie_bracket(op, w)
-            if b.is_zero():
+def new_brackets(ops, fields, rays):
+    """The brackets [X, e], X in ops and e in fields in that order, that are
+    nonzero and lie on no ray in rays, first of each ray, as {ray_key: field}.
+    Their rays are added to rays."""
+    fresh = {}
+    for X in ops:
+        for e in fields:
+            br = lie_bracket(X, e)
+            if br.is_zero():
                 continue
-            key = ray_key(b)
-            if key in kept:
-                continue
-            kept[key] = b
-            new_gen.append(b)
-    return BracketFamily(
-        family.system, family.mode, family.generations + [new_gen], kept
-    )
+            ray = ray_key(br)
+            if ray not in rays:
+                rays.add(ray)
+                fresh[ray] = br
+    return fresh

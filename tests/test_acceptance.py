@@ -7,7 +7,6 @@ import time
 from pathlib import Path
 
 from polyaccess import (
-    BracketFamily,
     Ideal,
     Polynomial,
     SystemSpec,
@@ -17,7 +16,6 @@ from polyaccess import (
     build_matrix,
     closure_singular_analysis,
     exact_index_analysis,
-    extend_family,
     ideal_sum,
     in_radical,
     invariant_closure,
@@ -31,12 +29,12 @@ from polyaccess import (
     radical_monomial,
     rank_l_analysis,
     real_radical_restricted,
-    reduce_columns,
     sample_check,
     stabilize_chain,
     vanishing_coordinates,
     verify_immersion,
 )
+from polyaccess.analysis import AnalysisSession
 from polyaccess.cli import main as cli_main
 from polyaccess.rationals import Q
 
@@ -111,25 +109,21 @@ def test_criterion_02_planar_intermediate_ideals():
         (ideal_of(V, "x1^2*x2", "x1*x2^2", "x1^4"), ideal_of(V, "x1")),
         (None, ideal_of(V, "x1", "x2")),
     )
-    fam = BracketFamily.initial(system, "accessibility")
+    session = AnalysisSession(system)
     for depth, (minor_expected, radical_expected) in enumerate(expected):
-        M = build_matrix(reduce_columns(fam.members()))
-        I = minor_ideal(M, 2)
+        I = session.minors("accessibility", depth, 2)
         if minor_expected is not None:
             assert I.equals(minor_expected)
         rr = real_radical_restricted(I)
         assert not isinstance(rr, Unsupported)
         assert rr.equals(radical_expected)
-        if depth < 2:
-            fam = extend_family(fam)
 
 
 def test_criterion_03_planar_invariant_closure():
     """Planar depth-0 seed closes in exactly two rounds to an invariant ideal."""
     system = load("planar").system
     V = system.vars
-    fam = BracketFamily.initial(system, "accessibility")
-    seed = minor_ideal(build_matrix(reduce_columns(fam.members())), 2)
+    seed = AnalysisSession(system).minors("accessibility", 0, 2)
     result = invariant_closure(seed, system.operators())
     assert len(result.rounds) == 2
     assert result.ideal.equals(ideal_of(V, "x1^2*x2", "x1*x2^2", "x1^4", "x2^3"))

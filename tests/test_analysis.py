@@ -10,7 +10,6 @@ from polyaccess import (
     VarTable,
     VectorField,
     bound_analysis,
-    extend_family,
     closure_singular_analysis,
     exact_index_analysis,
     generic_test,
@@ -22,7 +21,7 @@ from polyaccess import (
     strong_analysis,
 )
 from polyaccess.analysis import AnalysisSession
-from polyaccess.vectorfields import BracketFamily
+from polyaccess.vectorfields import new_brackets, ray_key
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -266,25 +265,40 @@ def zero_drift():
                                  vf(("0", "x3", "-x2"), "g2", V3)])
 
 
+def extend_family(system, mode, generations, rays):
+    """The reference family one generation deeper, grown from scratch:
+    generation 0 is the nonzero generators, first of each ray, and each
+    later one is new_brackets of the one before."""
+    if generations:
+        fresh = new_brackets(system.operators(), generations[-1], rays)
+    else:
+        fresh = {}
+        for g in system.generators(mode):
+            if not g.is_zero():
+                fresh.setdefault(ray_key(g), g)
+        rays.update(fresh)
+    return generations + [list(fresh.values())]
+
+
 class TestFamily:
     @pytest.mark.parametrize("system", [planar, circle, proportional_inputs, zero_input,
                                         zero_drift, rank_deficient, all_zero])
     @pytest.mark.parametrize("mode", ["accessibility", "strong"])
     def test_matches_extend_family(self, system, mode):
         """The session's family, with generations 0 and 1 taken from the
-        chain, has the labels and components of BracketFamily.initial
-        extended by extend_family, at every depth."""
+        chain, has the labels and components of the reference family grown
+        by extend_family, at every depth, asked shallow first or deep first."""
         sys_ = system()
-        expected = [BracketFamily.initial(sys_, mode)]
-        for _ in range(3):
-            expected.append(extend_family(expected[-1]))
+        expected, rays = [], set()
+        for _ in range(4):
+            expected = extend_family(sys_, mode, expected, rays)
         session = AnalysisSession(sys_)
         got = [session.family(mode, depth) for depth in range(4)]
         got.append(AnalysisSession(sys_).family(mode, 3))  # asked deep first
-        for fam, ref in zip(got, expected + expected[-1:], strict=True):
-            for a, b in zip(fam.generations, ref.generations, strict=True):
-                assert [v.label for v in a] == [v.label for v in b]
-                assert a == b
+        for gens, depth in zip(got, (0, 1, 2, 3, 3), strict=True):
+            ref = expected[: depth + 1]
+            assert [[v.label for v in g] for g in gens] == [[v.label for v in g] for g in ref]
+            assert gens == ref
 
 
 class TestRankThreshold:

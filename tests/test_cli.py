@@ -238,7 +238,7 @@ class TestOneSessionPerRun:
     def _full_calls(monkeypatch, capsys, name):
         counts = Counter()
         targets = [(polyaccess.analysis, attr)
-                   for attr in ("extend_family", "chain_depths", "invariant_closure")]
+                   for attr in ("new_brackets", "chain_depths", "invariant_closure")]
         targets += [(polyaccess.modules, "module_buchberger"),
                     (polyaccess.modules.PolySubmodule, "adjoin")]
         for owner, attr in targets:
@@ -260,7 +260,7 @@ class TestOneSessionPerRun:
         counts = self._full_calls(monkeypatch, capsys, "circle3d")
         assert counts["chain_depths"] == 2
         assert counts["invariant_closure"] <= 1
-        assert counts["extend_family"] == 1
+        assert counts["new_brackets"] == 1
 
     def test_pendulum_full(self, monkeypatch, capsys):
         """Every route shares one chain per mode of the cart-pole."""
@@ -289,9 +289,10 @@ class TestOneSessionPerRun:
     ])
     def test_family_extensions(self, monkeypatch, capsys, name, extensions):
         """Each mode's bracket family takes generations 0 and 1 from its
-        chain: full brackets only this many deeper generations."""
+        chain: full brackets only this many deeper generations, one
+        new_brackets call from the session each."""
         counts = self._full_calls(monkeypatch, capsys, name)
-        assert counts["extend_family"] == extensions
+        assert counts["new_brackets"] == extensions
 
 
 class TestDerivativeReuse:

@@ -14,6 +14,7 @@ from sympy.polys.orderings import grevlex
 from polyaccess import (
     Ideal,
     Polynomial,
+    SystemSpec,
     VarTable,
     VectorField,
     build_matrix,
@@ -21,8 +22,8 @@ from polyaccess import (
     minor_ideal,
     parse_polynomial,
     rational_rank,
-    reduce_columns,
 )
+from polyaccess.analysis import AnalysisSession
 from polyaccess.minors import GenericRank, determinant
 from polyaccess.rationals import Q
 
@@ -175,33 +176,59 @@ class TestMinorIdeal:
             minor_ideal(M, 3)
 
 
+def raw_family(session, mode, depth):
+    """Members of the session's bracket family through `depth`, unreduced."""
+    return [v for generation in session.family(mode, depth) for v in generation]
+
+
+def chain_systems():
+    """The planar system and three random ones whose raw families' minor
+    ideals have bases small enough to compute in milliseconds."""
+    zero = vf(("0", "0"), "f")
+    systems = [SystemSpec(V2, zero, planar_columns()[:2])]
+    for seed in range(3):
+        rng = random.Random(seed)
+        systems.append(SystemSpec(V2, VectorField([random_poly(rng) for _ in "fx"], "f"),
+                                  [VectorField([random_poly(rng) for _ in "gx"], "g")]))
+    return systems
+
+
 class TestReduceColumns:
+    """The module chain reduces the bracket family: through r-hat + 1 its
+    columns span what the raw family spans, which the session relies on
+    when it reads minors and ranks off the chain."""
+
     def test_dependent_columns_dropped(self):
-        """Module-dependent columns do not survive reduction."""
-        cols = planar_columns()
-        doubled = cols + [vf(("2*x2", "0"), "dup"),
-                          vf(("x1*x2", "0"), "mult")]
-        kept = reduce_columns(doubled)
-        assert len(kept) == len(reduce_columns(cols))
+        """A bracket in the span of the columns so far is not a column."""
+        session = AnalysisSession(chain_systems()[0])
+        raw = raw_family(session, "accessibility", 2)
+        cols = session.matrix("accessibility", 2).labels
+        assert [v.label for v in raw] == list(cols) + ["[g2,[g1,g2]]"]
+        assert session.chain("accessibility").r_hat == 2
+        assert session.chain("accessibility").module.member(raw[-1])
 
     def test_pointwise_rank_preserved(self):
-        """Reduction preserves the evaluated rank at sample points."""
+        """Chain columns and raw family have equal ranks at sampled points."""
         rng = random.Random(71)
-        cols = planar_columns() + [vf(("x1*x2", "x1^3"), "extra")]
-        kept = reduce_columns(cols)
-        M0 = build_matrix(cols)
-        M1 = build_matrix(kept)
-        for _ in range(25):
-            pt = [Q(rng.randint(-6, 6)) for _ in range(2)]
-            assert rational_rank(M0.evaluate(pt)) == rational_rank(M1.evaluate(pt))
+        for system in chain_systems():
+            for mode in ("accessibility", "strong"):
+                session = AnalysisSession(system)
+                for depth in range(session.chain(mode).r_hat + 2):
+                    M0 = build_matrix(raw_family(session, mode, depth))
+                    M1 = session.matrix(mode, depth)
+                    for _ in range(8):
+                        pt = [Q(rng.randint(-6, 6)) for _ in range(2)]
+                        assert rational_rank(M0.evaluate(pt)) == rational_rank(M1.evaluate(pt))
 
     def test_minor_ideals_preserved(self):
-        """Reduction preserves every minor ideal."""
-        cols = planar_columns() + [vf(("x1*x2", "x1^3"), "extra")]
-        kept = reduce_columns(cols)
-        for size in (1, 2):
-            assert minor_ideal(build_matrix(cols), size).equals(
-                minor_ideal(build_matrix(kept), size))
+        """Chain columns and raw family have equal minor ideals of each size."""
+        for system in chain_systems():
+            for mode in ("accessibility", "strong"):
+                session = AnalysisSession(system)
+                for depth in range(session.chain(mode).r_hat + 2):
+                    raw = build_matrix(raw_family(session, mode, depth))
+                    for size in range(1, min(2, raw.ncols) + 1):
+                        assert minor_ideal(raw, size).equals(session.minors(mode, depth, size))
 
 
 class TestGenericRank:

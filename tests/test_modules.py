@@ -7,19 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyaccess import (
-    BracketFamily,
     Ideal,
     Polynomial,
     PolySubmodule,
     SystemSpec,
     VarTable,
     VectorField,
-    extend_family,
     lie_bracket,
     parse_polynomial,
-    reduce_columns,
     stabilize_chain,
 )
+from polyaccess.analysis import AnalysisSession
 from polyaccess.modules import field_to_dict
 from polyaccess.poly import DEGREVLEX, LEX, mono_div, mono_divides, mono_lcm
 from polyaccess.rationals import Q
@@ -281,17 +279,18 @@ class TestStabilizeChain:
                                       [random_field(rng, V2, "g")]))
         for sys_ in systems:
             for mode in ("accessibility", "strong"):
-                chain = stabilize_chain(sys_, mode=mode)
-                family = BracketFamily.initial(sys_, mode)
+                session = AnalysisSession(sys_)
+                chain = session.chain(mode)
+                # the family adjoined one field at a time: a basis built from
+                # all the raw brackets at once is far slower for the same module
+                family = PolySubmodule(V2, 2, [])
                 for depth in range(chain.r_hat + 2):
+                    for field in session.family(mode, depth)[depth]:
+                        family = family.adjoin(field)[1]
                     span = PolySubmodule(V2, 2, chain.columns_at(depth))
                     if depth <= chain.r_hat:
                         assert len(span.groebner_basis()) == chain.basis_sizes[depth]
-                    # reduced first: a basis built from the raw brackets is
-                    # far slower for the same module
-                    members = reduce_columns(family.members(depth))
-                    assert span.equals(PolySubmodule(V2, 2, members))
-                    family = extend_family(family)
+                    assert span.equals(family)
                 assert span.equals(chain.module)
 
     def test_strong_mode_smaller_start(self):

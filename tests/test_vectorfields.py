@@ -1,4 +1,4 @@
-"""Vector fields, Lie operations, and bracket families."""
+"""Vector fields, Lie operations, and the new-ray bracket step."""
 
 import random
 
@@ -11,13 +11,12 @@ from polyaccess import (
     SystemSpec,
     VarTable,
     VectorField,
-    extend_family,
     lie_bracket,
     lie_derivative,
     parse_polynomial,
 )
 from polyaccess.rationals import Q
-from polyaccess.vectorfields import BracketFamily, ray_key
+from polyaccess.vectorfields import new_brackets, ray_key
 
 V3 = VarTable(("x1", "x2", "x3"))
 
@@ -184,33 +183,57 @@ class TestSystemSpec:
 
 
 class TestBracketFamily:
+    """new_brackets, the one step that grows the bracket family and the
+    module chain."""
+
+    V2 = VarTable(("x1", "x2"))
+
     def test_depth_growth(self):
-        """Each extension adds exactly the new depth's brackets."""
-        f = vf(("0", "0"), "f", VarTable(("x1", "x2")))
-        v2 = VarTable(("x1", "x2"))
-        g1 = vf(("x2", "0"), "g1", v2)
-        g2 = vf(("0", "x1^2"), "g2", v2)
-        sys_ = SystemSpec(v2, f, [g1, g2])
-        fam = BracketFamily.initial(sys_)
-        assert fam.depth == 0
-        assert [x.label for x in fam.members()] == ["g1", "g2"]
-        fam = extend_family(fam)
-        assert fam.depth == 1
-        assert [x.label for x in fam.generations[1]] == ["[g1,g2]"]
-        assert [str(c) for c in fam.generations[1][0].components] == \
-            ["-x1^2", "2*x1*x2"]
-        assert [x.label for x in fam.members(0)] == ["g1", "g2"]
+        """Each generation holds exactly the new depth's brackets, operator
+        by operator, in the order of the generation before."""
+        g1 = vf(("x2", "0"), "g1", self.V2)
+        g2 = vf(("0", "x1^2"), "g2", self.V2)
+        ops = (g1, g2)
+        rays = {ray_key(g1), ray_key(g2)}
+        gen1 = list(new_brackets(ops, ops, rays).values())
+        assert [x.label for x in gen1] == ["[g1,g2]"]
+        assert [str(c) for c in gen1[0].components] == ["-x1^2", "2*x1*x2"]
+        gen2 = list(new_brackets(ops, gen1, rays).values())
+        assert [x.label for x in gen2] == ["[g1,[g1,g2]]", "[g2,[g1,g2]]"]
+        assert [[str(c) for c in x.components] for x in gen2] == \
+            [["-4*x1*x2", "2*x2^2"], ["0", "4*x1^3"]]
 
     def test_scalar_duplicates_pruned(self):
-        """Brackets equal to a prior member up to a rational scale are dropped."""
-        v2 = VarTable(("x1", "x2"))
-        zero = VectorField([Polynomial.zero(v2)] * 2, "f")
-        g1 = vf(("x2", "0"), "g1", v2)
-        g2 = vf(("0", "x2"), "g2", v2)
-        sys_ = SystemSpec(v2, zero, [g1, g2])
+        """Brackets equal to a prior field up to a rational scale are dropped,
+        and of two brackets on one new ray only the first is kept."""
+        g1 = vf(("x2", "0"), "g1", self.V2)
+        g2 = vf(("0", "x2"), "g2", self.V2)
         # [g1,g2] = (-x2, 0) = -g1 and [g2,g1] = g1: both land on g1's ray.
-        fam = extend_family(BracketFamily.initial(sys_))
-        assert fam.generations[1] == []
+        assert new_brackets((g1, g2), (g1, g2), {ray_key(g1), ray_key(g2)}) == {}
+        rays = {ray_key(g2)}
+        fresh = new_brackets((g1, g2), (g1, g2), rays)
+        assert [x.label for x in fresh.values()] == ["[g1,g2]"]
+        assert list(fresh) == [ray_key(g1)]
+
+    def test_zero_brackets_skipped(self):
+        """Vanishing brackets are not kept and add no ray."""
+        g1 = vf(("1", "0"), "g1", self.V2)
+        g2 = vf(("0", "1"), "g2", self.V2)
+        rays = set()
+        assert new_brackets((g1, g2), (g1, g2), rays) == {}
+        assert rays == set()
+
+    def test_rays_updated(self):
+        """The kept brackets' rays are added to the set passed in, and are
+        the keys of the result."""
+        g1 = vf(("x2", "0"), "g1", self.V2)
+        g2 = vf(("0", "x1^2"), "g2", self.V2)
+        before = {ray_key(g1), ray_key(g2)}
+        rays = set(before)
+        fresh = new_brackets((g1, g2), (g1, g2), rays)
+        assert list(fresh) == [ray_key(v) for v in fresh.values()]
+        assert rays == before | set(fresh)
+        assert new_brackets((g1, g2), (g1, g2), rays) == {}
 
 
 def _ray_key_reference(field):
