@@ -167,9 +167,8 @@ class AnalysisSession:
     def family(self, mode, depth):
         """Generations 0..depth of the bracket family.  Generations 0 and 1
         are the chain's new-ray fields at depths 0 and 1: the chain brackets
-        the same operators against its seeds in the same order, and a seed
-        on an earlier seed's ray brackets onto an earlier bracket's ray.
-        Each deeper generation is new_brackets of the one before."""
+        the same operators against its seeds in the same order.  Each deeper
+        generation is new_brackets of the one before."""
         fam = self._families.get(mode)
         if fam is None or len(fam[0]) <= min(depth, 1):
             fresh = [self._depth(mode, k)[2] for k in range(min(depth, 1) + 1)]
@@ -487,17 +486,18 @@ class SampleDiagnostics(NamedTuple):
     mismatches: tuple  # points where vanishing and low rank disagree
 
 
-def sample_check(report, trials=50, seed=1, span=50, extra_points=()):
-    """Numeric cross-validation: at sampled points the evaluated bracket
-    matrix drops below the rank threshold exactly where every singular
-    generator vanishes.  Extra points let callers probe the variety itself."""
+def sample_check(report, trials=50, seed=1, extra_points=()):
+    """Numeric cross-validation: at integer points sampled from [-50, 50]
+    the evaluated bracket matrix drops below the rank threshold exactly
+    where every singular generator vanishes.  Extra points let callers
+    probe the variety itself."""
     if report.matrix is None:
         raise ValueError("report carries no bracket matrix to sample")
     M = report.matrix
     threshold = report.threshold or M.nrows
     gens = report.singular_generators()
     rng = Random(seed)
-    points = [tuple(rng.randint(-span, span) for _ in range(len(M.vars)))
+    points = [tuple(rng.randint(-50, 50) for _ in range(len(M.vars)))
               for _ in range(trials)]
     points.extend(tuple(p) for p in extra_points)
     mismatches = []

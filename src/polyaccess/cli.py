@@ -239,10 +239,8 @@ def _immersion_section(parsed, check):
                      f"{result.index}, field {result.field_label}, "
                      f"residue {result.residue})")
     if check and result.ok:
-        fields = [sys_.drift] + list(sys_.inputs) if not sys_.drift.is_zero() \
-            else list(sys_.inputs)
+        labels = ", ".join(f.label for f in sys_.operators())
         for rel in imap.relation_generators():
-            labels = ", ".join(f.label for f in fields)
             lines.append(f"  certificate: L_X({rel}) lies in the relation ideal "
                          f"for X in {{{labels}}}")
     doc = {

@@ -304,6 +304,16 @@ def real_radical_restricted(ideal):
     return combined
 
 
+def lie_residues(ideal, gens, fields):
+    """(g, X, normal form) for each L_X g, g in gens and X in fields in that
+    order, that leaves the ideal."""
+    for g in gens:
+        for X in fields:
+            nf = ideal.normal_form(lie_derivative(X, g.with_order(X.components[0].order)))
+            if not nf.is_zero():
+                yield g, X, nf
+
+
 class InvarianceResult(NamedTuple):
     invariant: bool
     generator: object = None
@@ -314,13 +324,8 @@ class InvarianceResult(NamedTuple):
 def is_invariant(ideal, fields):
     """Whether the ideal is closed under Lie differentiation along each
     field; on failure the witness generator and residue are reported."""
-    gb = ideal.groebner_basis()
-    for p in gb:
-        for X in fields:
-            d = lie_derivative(X, p.with_order(X.components[0].order))
-            nf = ideal.normal_form(d)
-            if not nf.is_zero():
-                return InvarianceResult(False, p, X.label, nf)
+    for p, X, nf in lie_residues(ideal, ideal.groebner_basis(), fields):
+        return InvarianceResult(False, p, X.label, nf)
     return InvarianceResult(True)
 
 
@@ -335,21 +340,10 @@ def invariant_closure(ideal, fields, max_rounds=64):
     current = ideal
     rounds = []
     for _ in range(max_rounds):
-        added = []
-        added_keys = set()
-        base = current
-        for p in current.groebner_basis():
-            for X in fields:
-                d = lie_derivative(X, p.with_order(X.components[0].order))
-                nf = base.normal_form(d)
-                if not nf.is_zero():
-                    h = nf.monic()
-                    k = frozenset(h.coeffs.items())
-                    if k not in added_keys:
-                        added_keys.add(k)
-                        added.append(h)
+        residues = lie_residues(current, current.groebner_basis(), fields)
+        added = tuple(dict.fromkeys(nf.monic() for _, _, nf in residues))
         if not added:
             return ClosureResult(current, tuple(rounds))
-        rounds.append(tuple(added))
+        rounds.append(added)
         current = current.extended(added)
     raise CapReached("invariant closure", max_rounds)

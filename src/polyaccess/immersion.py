@@ -8,10 +8,10 @@ from random import Random
 from typing import NamedTuple
 
 from .errors import ClosureError
-from .ideals import Ideal, _positive_even_halves, ideal_sum, in_radical
-from .poly import DEGREVLEX, Polynomial, VarTable
+from .ideals import Ideal, _positive_even_halves, ideal_sum, in_radical, lie_residues
+from .poly import DEGREVLEX, Polynomial, VarTable, _mul_into
 from .rationals import ONE, Q
-from .vectorfields import SystemSpec, VectorField, lie_derivative
+from .vectorfields import SystemSpec, VectorField
 
 
 class Entry:
@@ -190,20 +190,22 @@ class ImmersedSystem:
         return self.source.map
 
 
-def entry_partial(map, j, t, cache=None):
-    """d(T_j)/dx_t as a polynomial over the target variables."""
-    if cache is not None and (j, t) in cache:
-        return cache[(j, t)]
+def jacobian(map):
+    """Rows d(T_j)/dx_t of the map, in entry order, as polynomials over the
+    target variables.  A reciprocal 1/q differentiates to -(1/q)^2 dq, where
+    q uses only earlier targets, so its row sums their rows by the chain
+    rule; sin and cos need their companion entry."""
     vars, order = map.target_vars, map.order
-    e = map.entries[j]
-    if e.kind == "coordinate":
-        value = Polynomial.constant(vars, 1 if e.arg == t else 0, order)
-    elif e.kind == "polynomial":
-        value = e.expr.with_order(order).partial_derivative(t)
-    elif e.kind in ("sin", "cos"):
-        if e.arg != t:
-            value = Polynomial.zero(vars, order)
-        else:
+    n = map.source_dimension
+    zero = Polynomial.zero(vars, order)
+    rows = []
+    for j, e in enumerate(map.entries):
+        if e.kind == "coordinate":
+            row = [Polynomial.constant(vars, 1 if e.arg == t else 0, order) for t in range(n)]
+        elif e.kind == "polynomial":
+            expr = e.expr.with_order(order)
+            row = [expr.partial_derivative(t) for t in range(n)]
+        elif e.kind in ("sin", "cos"):
             mate = map.companion(j)
             if mate is None:
                 want = "cos" if e.kind == "sin" else "sin"
@@ -212,60 +214,40 @@ def entry_partial(map, j, t, cache=None):
                     f"derivative of {e.describe(map.source_vars)} needs the "
                     f"companion {want} entry, which the map does not declare",
                 )
-            value = Polynomial.variable(vars, mate, order)
-            if e.kind == "cos":
-                value = -value
-    else:  # reciprocal: d(1/q) = -(1/q)^2 dq
-        z = Polynomial.variable(vars, j, order)
-        value = -(z * z) * source_partial(map, e.expr.with_order(order), t, cache)
-    if cache is not None:
-        cache[(j, t)] = value
-    return value
+            d = Polynomial.variable(vars, mate, order)
+            d = -d if e.kind == "cos" else d
+            row = [d if t == e.arg else zero for t in range(n)]
+        else:  # reciprocal
+            q = e.expr.with_order(order)
+            dq = [zero] * n
+            for s in q.variables_present():
+                q_s = q.partial_derivative(s)
+                dq = [a + q_s * r for a, r in zip(dq, rows[s])]
+            z = Polynomial.variable(vars, j, order)
+            row = [-(z * z) * a for a in dq]
+        rows.append(row)
+    return rows
 
 
-def source_partial(map, p, t, cache=None):
-    """d/dx_t of a polynomial in the target variables, through the atoms."""
-    out = Polynomial.zero(map.target_vars, map.order)
-    for s in p.variables_present():
-        out = out + p.partial_derivative(s) * entry_partial(map, s, t, cache)
-    return out
-
-
-def analytic_lie(map, p, field, cache=None):
-    """Lie derivative of a rewritten analytic function along a source field."""
-    out = Polynomial.zero(map.target_vars, map.order)
-    for t, h_t in enumerate(field.components):
-        out = out + source_partial(map, p, t, cache) * h_t
-    return out
-
-
-def analytic_bracket(map, a, b, label=None, cache=None):
-    """Lie bracket of two source fields, computed through the atoms."""
-    comps = [
-        analytic_lie(map, b.components[i], a, cache)
-        - analytic_lie(map, a.components[i], b, cache)
-        for i in range(len(a.components))
-    ]
-    if label is None:
-        label = f"[{a.label},{b.label}]"
-    return VectorField(comps, label)
-
-
-def _lift_field(map, field, cache):
-    vars, order = map.target_vars, map.order
+def pushforward(rows, field):
+    """The source field pushed forward along a map with Jacobian rows:
+    component j is sum_t rows[j][t] * field_t; the label is kept."""
     comps = []
-    for j in range(map.target_dimension):
-        z_j = Polynomial.variable(vars, j, order)
-        comps.append(analytic_lie(map, z_j, field, cache))
+    for row in rows:
+        acc = {}
+        for d, h in zip(row, field.components):
+            d._check(h)
+            _mul_into(acc, d.coeffs, h.coeffs)
+        comps.append(Polynomial(field.vars, acc, row[0].order, _clean=False))
     return VectorField(comps, field.label)
 
 
 def derive_immersed(asys):
     """Push the analytic system forward along its immersion map; raises a
     closure error when a derivative leaves the declared atom dictionary."""
-    cache = {}
-    drift = _lift_field(asys.map, asys.drift, cache)
-    inputs = [_lift_field(asys.map, g, cache) for g in asys.inputs]
+    rows = jacobian(asys.map)
+    drift = pushforward(rows, asys.drift)
+    inputs = [pushforward(rows, g) for g in asys.inputs]
     system = SystemSpec(asys.map.target_vars, drift, inputs, name=asys.name)
     return ImmersedSystem(system, asys)
 
@@ -287,15 +269,11 @@ def verify_immersion(asys, imm):
     relations = map.relation_generators()
     lifted = (imm.system.drift,) + imm.system.inputs
     for field in lifted:
-        for i, rel in enumerate(relations):
-            nf = R.normal_form(lie_derivative(field, rel))
-            if not nf.is_zero():
-                return VerifyResult(False, "tangency", i, field.label, nf)
-    cache = {}
-    fresh = (_lift_field(map, asys.drift, cache),) + tuple(
-        _lift_field(map, g, cache) for g in asys.inputs
-    )
-    for ours, given in zip(fresh, lifted):
+        for rel, _, nf in lie_residues(R, relations, (field,)):
+            return VerifyResult(False, "tangency", relations.index(rel), field.label, nf)
+    rows = jacobian(map)
+    for source, given in zip((asys.drift,) + asys.inputs, lifted):
+        ours = pushforward(rows, source)
         for j in range(map.target_dimension):
             nf = R.normal_form(ours.components[j] - given.components[j])
             if not nf.is_zero():
@@ -361,11 +339,13 @@ def _image_points(map, count, seed):
     return points
 
 
-def pull_back_singular(imm, singular, map=None, samples=60, seed=0):
+_PULL_BACK_SAMPLES = 60
+
+
+def pull_back_singular(imm, singular, seed=0):
     """Intersect a singular ideal on the lifted state with the image variety
     (as the ideal sum with the relations) and try to certify emptiness."""
-    if map is None:
-        map = imm.map
+    map = imm.map
     R = map.relation_ideal()
     total = ideal_sum(singular, R)
     if not total.is_proper():
@@ -379,7 +359,7 @@ def pull_back_singular(imm, singular, map=None, samples=60, seed=0):
                 f"generator {g} is positive for every real point",
             )
     gens = total.groebner_basis()
-    for p in _image_points(map, samples, seed):
+    for p in _image_points(map, _PULL_BACK_SAMPLES, seed):
         point = list(p)
         if all(g.evaluate(point) == 0 for g in gens):
             return PullBackResult(
@@ -388,7 +368,7 @@ def pull_back_singular(imm, singular, map=None, samples=60, seed=0):
             )
     return PullBackResult(
         total, True, "sampled",
-        f"none of {samples} sampled image points meets the singular set",
+        f"none of {_PULL_BACK_SAMPLES} sampled image points meets the singular set",
     )
 
 

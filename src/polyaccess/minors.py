@@ -1,5 +1,5 @@
-"""Matrices with vector-field columns: exact determinants, minor ideals,
-column pruning, and certified generic rank."""
+"""Matrices with vector-field columns: minor ideals and certified generic
+rank."""
 
 from __future__ import annotations
 
@@ -36,9 +36,6 @@ class FieldMatrix:
     def column(self, j):
         return tuple(row[j] for row in self.entries)
 
-    def submatrix(self, rows, cols):
-        return [[self.entries[i][j] for j in cols] for i in rows]
-
     def evaluate(self, point):
         point = [Q(v) for v in point]
         return [[e.evaluate(point) for e in row] for row in self.entries]
@@ -59,18 +56,6 @@ def build_matrix(columns):
             raise ValueError("columns live over different spaces")
     entries = [[c[i] for c in columns] for i in range(n)]
     return FieldMatrix(vars, entries, [c.label for c in columns])
-
-
-def determinant(rows):
-    """Exact determinant of a square array of polynomials, by the same
-    row-by-row cofactor expansion that minor_ideal uses."""
-    if not rows:
-        raise ValueError("empty matrix")
-    first = rows[0][0]
-    minors = {(): Polynomial.constant(first.vars, 1, first.order)}
-    for row in rows:
-        minors = _extend_minors(minors, row)
-    return minors.get(tuple(range(len(rows))), Polynomial.zero(first.vars, first.order))
 
 
 def _extend_minors(minors, row):
@@ -189,12 +174,12 @@ def _integer_entries(matrix):
     return rows
 
 
-def generic_rank(matrix, seed=0, samples=5, span=1000, module=None):
+def generic_rank(matrix, seed=0, samples=5, module=None):
     """Exact maximal rank of the matrix over all real points.
 
-    Random integer points give a fast lower bound with a witness; the matrix
-    is scaled to integer coefficients once, column by column, and sampled in
-    integers.  Below full size the value is certified as the rank over Q(x),
+    Random integer points in [-1000, 1000] give a fast lower bound with a
+    witness; the matrix is scaled to integer coefficients once, column by
+    column, and sampled in integers.  Below full size the value is certified as the rank over Q(x),
     read off a Groebner basis of the column module.  A caller that already
     holds a PolySubmodule spanned by exactly the matrix columns (a chain
     depth's module) passes it as module, and its cached basis is used.
@@ -206,7 +191,7 @@ def generic_rank(matrix, seed=0, samples=5, span=1000, module=None):
     best = 0
     witness = None
     for _ in range(samples):
-        point = [rng.randint(-span, span) for _ in range(len(matrix.vars))]
+        point = [rng.randint(-1000, 1000) for _ in range(len(matrix.vars))]
         r = rational_rank([[sum(c * prod(map(pow, point, mono)) for mono, c in e)
                             for e in row] for row in entries])
         if r > best:

@@ -364,11 +364,11 @@ def chain_depths(system, mode="accessibility"):
     """
     vars = system.vars
     dim = system.dimension
-    seeds, fresh = [], {}
+    fresh = {}
     for g in system.generators(mode):
-        if not g.is_zero() and g not in seeds:
-            seeds.append(g)
+        if not g.is_zero():
             fresh.setdefault(ray_key(g), g)
+    seeds = list(fresh.values())
     rays = set(fresh)
     ops = system.operators()
     module = PolySubmodule(vars, dim, seeds, system.generators(mode)[0].components[0].order)

@@ -414,31 +414,6 @@ class Polynomial:
             total = total + v
         return total
 
-    def evaluate_partial(self, assignment):
-        """Substitute rational values for a subset of variables (by index)."""
-        assignment = {
-            (self.vars.index(k) if isinstance(k, str) else k): Q(v)
-            for k, v in assignment.items()
-        }
-        res = {}
-        for m, c in self.coeffs.items():
-            v = c
-            new = list(m)
-            for i, val in assignment.items():
-                e = m[i]
-                if e:
-                    v = v * val**e
-                new[i] = 0
-            if not v:
-                continue
-            key = tuple(new)
-            acc = res.get(key, ZERO) + v
-            if acc:
-                res[key] = acc
-            elif key in res:
-                del res[key]
-        return Polynomial(self.vars, res, self.order, _clean=False)
-
     def map_vars(self, new_vars, index_map, order=None):
         """Transport into another table; index_map[i] is the new slot of
         old variable i.  The map must be injective on present variables."""

@@ -74,13 +74,11 @@ def lie_derivative(field, p):
     return Polynomial(p.vars, acc, p.order, _clean=False)
 
 
-def lie_bracket(f, g, label=None):
-    """Bracket [f, g]; component j is L_f(g_j) - L_g(f_j), summed into one
-    coefficient dict."""
+def lie_bracket(f, g):
+    """Bracket [f, g], labelled "[f,g]"; component j is L_f(g_j) - L_g(f_j),
+    summed into one coefficient dict."""
     if f.vars != g.vars or len(f) != len(g):
         raise ValueError("bracket of fields over different spaces")
-    if label is None:
-        label = f"[{f.label},{g.label}]"
     comps = []
     for fj, gj in zip(f, g):
         gj._check(fj)
@@ -88,7 +86,7 @@ def lie_bracket(f, g, label=None):
         _add_lie_terms(acc, f, gj, 1)
         _add_lie_terms(acc, g, fj, -1)
         comps.append(Polynomial(gj.vars, acc, gj.order, _clean=False))
-    return VectorField(comps, label)
+    return VectorField(comps, f"[{f.label},{g.label}]")
 
 
 class SystemSpec:

@@ -10,10 +10,12 @@ from polyaccess import (
     VarTable,
     VectorField,
     bound_analysis,
+    build_matrix,
     closure_singular_analysis,
     exact_index_analysis,
     generic_test,
     in_radical,
+    minor_ideal,
     parse_polynomial,
     planar_depth_bound,
     rank_l_analysis,
@@ -210,6 +212,23 @@ class TestBound:
         assert (report.index_kind, report.index_value) == ("upper bound r-hat", 0)
         assert [rec.module_gb_size for rec in report.chain_trace] == [0]
         assert report.matrix is None
+
+    def test_generator_on_an_earlier_ray(self):
+        """A generator on an earlier generator's ray is not a column: the
+        depth-0 columns are f, g1, g3, and with g2 put back after g1 every
+        depth's minor ideals are the same."""
+        sys_ = proportional_inputs()
+        report = bound_analysis(sys_)
+        assert report.chain_trace[0].retained_labels == ("f", "g1", "g3")
+        session = AnalysisSession(sys_)
+        chain = session.chain("accessibility")
+        g2 = sys_.inputs[1]
+        for depth in range(chain.r_hat + 1):
+            cols = chain.columns_at(depth)
+            with_g2 = build_matrix(cols[:2] + (g2,) + cols[2:])
+            for size in (1, 2):
+                assert minor_ideal(with_g2, size).equals(
+                    session.minors("accessibility", depth, size))
 
 
 class TestStrong:

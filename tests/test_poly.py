@@ -133,12 +133,6 @@ class TestArithmetic:
             assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
             assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
 
-    def test_evaluate_partial(self):
-        """Partial substitution then full evaluation matches direct evaluation."""
-        a = p("x1^2*x2 - 3*x3 + x2*x3")
-        half = a.evaluate_partial({"x2": Q(2)})
-        assert half.evaluate([Q(3), Q(0), Q(1)]) == a.evaluate([Q(3), Q(2), Q(1)])
-
 
 class TestOrders:
     def test_leading_terms(self):
