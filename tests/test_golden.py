@@ -1,6 +1,7 @@
 """Golden output: `--format structured` and `--format text` of every command
-on the shipped demo systems, compared byte for byte with the files in
-tests/golden/.
+on the shipped demo systems, and the exact index search over the random
+systems of seeds 0-399 (sweep_answers.txt), compared byte for byte with the
+files in tests/golden/.
 
 An intended output change regenerates the files with
 `PYTHONPATH=src python tests/test_golden.py` and shows up in their diff.
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from polyaccess import exact_index_analysis, stabilize_chain
 from polyaccess.cli import main
+from test_acceptance import random_system
 
 ROOT = Path(__file__).resolve().parent.parent
 SYSTEMS = ROOT / "demos" / "systems"
@@ -64,8 +67,29 @@ def test_text_output(name, command, extra):
     assert _run(name, command, extra, "text") == _golden_path(name, command, "text").read_text()
 
 
+def _sweep_answers():
+    """One line per random system: index kind, verdict, value, singular
+    generators, and r-hat where r* is exact, tab-separated."""
+    lines = []
+    for seed in range(400):
+        system = random_system(seed)
+        report = exact_index_analysis(system, auto_route=False)
+        r_hat = None
+        if report.index_kind == "exact r*":
+            r_hat = stabilize_chain(system).r_hat
+        gens = "; ".join(map(str, report.singular_generators()))
+        lines.append(f"rnd{seed}\t{report.index_kind}\t{report.verdict}\t"
+                     f"{report.index_value}\t{gens}\t{r_hat}\n")
+    return "".join(lines)
+
+
+def test_sweep_answers():
+    assert _sweep_answers() == (GOLDEN / "sweep_answers.txt").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, command, extra in CASES:
         for fmt in FORMATS:
             _golden_path(name, command, fmt).write_text(_run(name, command, extra, fmt))
+    (GOLDEN / "sweep_answers.txt").write_text(_sweep_answers())
