@@ -50,16 +50,7 @@ from .minors import (
     rational_rank,
 )
 from .modules import PolySubmodule
-from .poly import (
-    DEGLEX,
-    DEGREVLEX,
-    LEX,
-    BlockOrder,
-    MonomialOrder,
-    Polynomial,
-    VarTable,
-    parse_polynomial,
-)
+from .poly import Polynomial, VarTable, parse_polynomial
 from .systemfile import ParsedFile, parse_file, render_file
 from .vectorfields import (
     SystemSpec,
@@ -73,13 +64,10 @@ __version__ = "1.0.0"
 __all__ = [
     "AnalysisReport",
     "AnalyticSystem",
-    "BlockOrder",
     "CapReached",
     "ChainRecord",
     "ChainResult",
     "ClosureError",
-    "DEGLEX",
-    "DEGREVLEX",
     "Entry",
     "FieldMatrix",
     "GenericRank",
@@ -88,8 +76,6 @@ __all__ = [
     "ImmersedSystem",
     "ImmersionMap",
     "InvarianceResult",
-    "LEX",
-    "MonomialOrder",
     "ParseError",
     "ParsedFile",
     "PolySubmodule",

@@ -41,8 +41,6 @@ def build_arg_parser():
     def add(name, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="system description file")
-        p.add_argument("--order", choices=("degrevlex", "lex", "deglex"),
-                       help="monomial order (overrides the file)")
         p.add_argument("--max-depth", type=int, metavar="K",
                        help="bracket depth cap (overrides the file)")
         p.add_argument("--seed", type=int, metavar="N",
@@ -69,7 +67,6 @@ def build_arg_parser():
 
 def _overrides(args):
     return {
-        "order": args.order,
         "max-depth": args.max_depth,
         "seed": args.seed,
     }

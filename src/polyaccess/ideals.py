@@ -7,16 +7,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import CapReached
-from .modules import PolySubmodule
-from .poly import (
-    DEGREVLEX,
-    BlockOrder,
-    Polynomial,
-    VarTable,
-    mono_div,
-    mono_gcd,
-    squarefree_part,
-)
+from .modules import PolySubmodule, module_buchberger
+from .poly import Polynomial, VarTable, mono_div, mono_gcd, squarefree_part
 from .rationals import ONE
 from .vectorfields import lie_derivative
 
@@ -28,7 +20,7 @@ class Ideal(PolySubmodule):
 
     __slots__ = ("_polys",)
 
-    def __init__(self, vars, gens, order=DEGREVLEX):
+    def __init__(self, vars, gens):
         if not isinstance(vars, VarTable):
             raise TypeError("vars must be a VarTable")
         cleaned = []
@@ -36,8 +28,8 @@ class Ideal(PolySubmodule):
             if g.vars != vars:
                 raise ValueError("generator lives over a different variable table")
             if not g.is_zero():
-                cleaned.append(g.with_order(order))
-        super().__init__(vars, 1, (), order)
+                cleaned.append(g)
+        super().__init__(vars, 1, ())
         self.gens = tuple(cleaned)
         self._polys = None
 
@@ -45,10 +37,10 @@ class Ideal(PolySubmodule):
         return {(0, m): c for m, c in p.coeffs.items()}
 
     def _unvec(self, d):
-        return Polynomial(self.vars, {m: c for (_, m), c in d.items()}, self.order, _clean=False)
+        return Polynomial(self.vars, {m: c for (_, m), c in d.items()}, _clean=False)
 
     def _like(self, gens):
-        return Ideal(self.vars, gens, self.order)
+        return Ideal(self.vars, gens)
 
     def groebner_basis(self):
         """The reduced monic basis, sorted by descending leading monomial."""
@@ -65,13 +57,13 @@ class Ideal(PolySubmodule):
         return f"Ideal({body})"
 
 
-def buchberger(gens, order=None):
+def buchberger(gens):
     """Reduced monic Groebner basis of the given polynomials, sorted by
-    descending leading monomial, in the order of the first one by default."""
+    descending leading monomial."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
-    return Ideal(gens[0].vars, gens, order or gens[0].order).groebner_basis()
+    return Ideal(gens[0].vars, gens).groebner_basis()
 
 
 def ideal_sum(a, b):
@@ -88,34 +80,19 @@ def _fresh_name(vars, stem):
     return name
 
 
-def _lift(vars_ext, index_map, order):
-    def up(p):
-        return p.map_vars(vars_ext, index_map, order)
-
-    return up
-
-
 def ideal_intersect(a, b):
-    """Intersection via a tag variable: eliminate t from t*a + (1-t)*b."""
+    """Intersection in the module engine.  In Q[x]^2 the vectors (f, f), f
+    in a, and (g, 0), g in b, span the (u + v, u) with u in a and v in b.
+    Such a vector is (0, u) exactly when u = -v, that is when u lies in a
+    and in b.  So the elements of the reduced position-over-term basis led
+    in the last position are the (0, u) with u in the reduced basis of
+    a ∩ b."""
     if a.vars != b.vars:
         raise ValueError("ideals live over different variable tables")
-    vars = a.vars
-    tname = _fresh_name(vars, "_t")
-    ext = VarTable((tname,) + vars.names)
-    order = BlockOrder(1)
-    up = _lift(ext, [i + 1 for i in range(len(vars))], order)
-    t = Polynomial.variable(ext, 0, order)
-    one = Polynomial.constant(ext, 1, order)
-    gens = [t * up(g) for g in a.gens]
-    gens += [(one - t) * up(g) for g in b.gens]
-    gb = buchberger(gens, order)
-    down = [i - 1 for i in range(1, len(ext))]
-    down = [0] + down  # slot for t, never used
-    out = []
-    for g in gb:
-        if all(m[0] == 0 for m in g.coeffs):
-            out.append(g.map_vars(vars, down, a.order))
-    return Ideal(vars, out, a.order)
+    gens = [{**d, **{(1, m): c for (_, m), c in d.items()}} for d in map(a._vec, a.gens)]
+    gens += map(b._vec, b.gens)
+    basis = module_buchberger(gens, 2)
+    return Ideal(a.vars, [a._unvec(d) for d in basis if next(iter(d))[0] == 1])
 
 
 def in_radical(p, ideal):
@@ -124,14 +101,12 @@ def in_radical(p, ideal):
     if p.is_zero():
         return True
     vars = ideal.vars
-    tname = _fresh_name(vars, "_t")
-    ext = VarTable((tname,) + vars.names)
-    up = _lift(ext, [i + 1 for i in range(len(vars))], DEGREVLEX)
+    ext = VarTable((_fresh_name(vars, "_t"),) + vars.names)
+    shift = range(1, len(ext))
     t = Polynomial.variable(ext, 0)
-    one = Polynomial.constant(ext, 1)
-    gens = [up(g) for g in ideal.groebner_basis()]
-    gens.append(one - t * up(p))
-    gb = buchberger(gens, DEGREVLEX)
+    gens = [g.map_vars(ext, shift) for g in ideal.groebner_basis()]
+    gens.append(1 - t * p.map_vars(ext, shift))
+    gb = buchberger(gens)
     return bool(gb) and gb[0].is_constant()
 
 
@@ -142,9 +117,9 @@ def _monomial_of(p):
     return None
 
 
-def _squarefree_monomial(vars, mono, order):
+def _squarefree_monomial(vars, mono):
     m = tuple(1 if e else 0 for e in mono)
-    return Polynomial(vars, {m: ONE}, order, _clean=False)
+    return Polynomial(vars, {m: ONE}, _clean=False)
 
 
 def radical_monomial(ideal):
@@ -155,8 +130,8 @@ def radical_monomial(ideal):
         mono = _monomial_of(g)
         if mono is None:
             raise ValueError("not a monomial ideal")
-        gens.append(_squarefree_monomial(ideal.vars, mono, ideal.order))
-    return Ideal(ideal.vars, gens, ideal.order)
+        gens.append(_squarefree_monomial(ideal.vars, mono))
+    return Ideal(ideal.vars, gens)
 
 
 class Unsupported:
@@ -182,7 +157,7 @@ def _positive_even_halves(p):
     return halves
 
 
-def _principal_real_radical(p, vars, order):
+def _principal_real_radical(p, vars):
     """Real radical of a principal ideal, or Unsupported.
 
     Splits the squarefree part into monomial content times remainder; the
@@ -195,16 +170,14 @@ def _principal_real_radical(p, vars, order):
         content = mono_gcd(content, m)
     pieces = []
     if any(content):
-        pieces.append(Ideal(vars, [_squarefree_monomial(vars, content, order)], order))
-        r = Polynomial(
-            vars, {mono_div(m, content): c for m, c in s.coeffs.items()}, order, _clean=False
-        )
+        pieces.append(Ideal(vars, [_squarefree_monomial(vars, content)]))
+        r = Polynomial(vars, {mono_div(m, content): c for m, c in s.coeffs.items()}, _clean=False)
     else:
         r = s
     if r.is_constant():
         pass
     elif r.total_degree() == 1:
-        pieces.append(Ideal(vars, [r], order))
+        pieces.append(Ideal(vars, [r]))
     else:
         halves = _positive_even_halves(r)
         if halves is None:
@@ -212,11 +185,11 @@ def _principal_real_radical(p, vars, order):
                 "principal generator is not monomial, affine-linear, or a "
                 "positive combination of even monomials"
             )
-        gens = [Polynomial(vars, {h: ONE}, order, _clean=False) for h in halves]
-        piece = Ideal(vars, gens, order)
+        gens = [Polynomial(vars, {h: ONE}, _clean=False) for h in halves]
+        piece = Ideal(vars, gens)
         pieces.append(radical_monomial(piece))
     if not pieces:
-        return Ideal(vars, [Polynomial.constant(vars, 1, order)], order)
+        return Ideal(vars, [Polynomial.constant(vars, 1)])
     out = pieces[0]
     for piece in pieces[1:]:
         out = ideal_intersect(out, piece)
@@ -270,24 +243,24 @@ def real_radical_restricted(ideal):
     Generators outside (b) pass into the combination unchanged (they already
     lie in the ideal, hence in its real radical); the shape test decides.
     """
-    vars, order = ideal.vars, ideal.order
+    vars = ideal.vars
     gb = ideal.groebner_basis()
     if not gb:
-        return Ideal(vars, (), order)
+        return Ideal(vars, ())
     if not ideal.is_proper():
-        return Ideal(vars, [Polynomial.constant(vars, 1, order)], order)
+        return Ideal(vars, [Polynomial.constant(vars, 1)])
     if all(_monomial_of(g) is not None for g in gb):
         return radical_monomial(ideal)
     if len(gb) == 1:
-        return _principal_real_radical(gb[0], vars, order)
+        return _principal_real_radical(gb[0], vars)
     combined_gens = []
     for g in gb:
-        piece = _principal_real_radical(g, vars, order)
+        piece = _principal_real_radical(g, vars)
         if isinstance(piece, Unsupported):
             combined_gens.append(g)
         else:
             combined_gens.extend(piece.groebner_basis())
-    combined = Ideal(vars, combined_gens, order)
+    combined = Ideal(vars, combined_gens)
     cgb = combined.groebner_basis()
     if not combined.is_proper():
         return combined
@@ -309,7 +282,7 @@ def lie_residues(ideal, gens, fields):
     order, that leaves the ideal."""
     for g in gens:
         for X in fields:
-            nf = ideal.normal_form(lie_derivative(X, g.with_order(X.components[0].order)))
+            nf = ideal.normal_form(lie_derivative(X, g))
             if not nf.is_zero():
                 yield g, X, nf
 

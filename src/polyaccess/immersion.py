@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from .errors import ClosureError
 from .ideals import Ideal, _positive_even_halves, ideal_sum, in_radical, lie_residues
-from .poly import DEGREVLEX, Polynomial, VarTable, _mul_into
+from .poly import Polynomial, VarTable, _mul_into
 from .rationals import ONE, Q
 from .vectorfields import SystemSpec, VectorField
 
@@ -58,9 +58,9 @@ class ImmersionMap:
     first n entries must be the source coordinates themselves; every later
     entry adds one transcendental atom or polynomial coordinate."""
 
-    __slots__ = ("source_vars", "target_vars", "entries", "order")
+    __slots__ = ("source_vars", "target_vars", "entries")
 
-    def __init__(self, source_vars, target_vars, entries, order=DEGREVLEX):
+    def __init__(self, source_vars, target_vars, entries):
         if not isinstance(source_vars, VarTable):
             source_vars = VarTable(source_vars)
         if not isinstance(target_vars, VarTable):
@@ -102,7 +102,6 @@ class ImmersionMap:
         self.source_vars = source_vars
         self.target_vars = target_vars
         self.entries = entries
-        self.order = order
 
     @property
     def source_dimension(self):
@@ -124,29 +123,29 @@ class ImmersionMap:
     def relation_generators(self):
         """Defining relations of the image variety: sin^2 + cos^2 = 1 per
         angle, z*q = 1 per reciprocal, z = p per polynomial coordinate."""
-        vars, order = self.target_vars, self.order
-        one = Polynomial.constant(vars, 1, order)
+        vars = self.target_vars
+        one = Polynomial.constant(vars, 1)
         gens = []
         done_angles = set()
         for j, e in enumerate(self.entries):
-            z = Polynomial.variable(vars, j, order)
+            z = Polynomial.variable(vars, j)
             if e.kind in ("sin", "cos"):
                 if e.arg in done_angles:
                     continue
                 mate = self.companion(j)
                 if mate is None:
                     continue
-                w = Polynomial.variable(vars, mate, order)
+                w = Polynomial.variable(vars, mate)
                 gens.append(z * z + w * w - one)
                 done_angles.add(e.arg)
             elif e.kind == "reciprocal":
-                gens.append(z * e.expr.with_order(order) - one)
+                gens.append(z * e.expr - one)
             elif e.kind == "polynomial":
-                gens.append(z - e.expr.with_order(order))
+                gens.append(z - e.expr)
         return tuple(gens)
 
     def relation_ideal(self):
-        return Ideal(self.target_vars, self.relation_generators(), self.order)
+        return Ideal(self.target_vars, self.relation_generators())
 
 
 class AnalyticSystem:
@@ -195,16 +194,15 @@ def jacobian(map):
     target variables.  A reciprocal 1/q differentiates to -(1/q)^2 dq, where
     q uses only earlier targets, so its row sums their rows by the chain
     rule; sin and cos need their companion entry."""
-    vars, order = map.target_vars, map.order
+    vars = map.target_vars
     n = map.source_dimension
-    zero = Polynomial.zero(vars, order)
+    zero = Polynomial.zero(vars)
     rows = []
     for j, e in enumerate(map.entries):
         if e.kind == "coordinate":
-            row = [Polynomial.constant(vars, 1 if e.arg == t else 0, order) for t in range(n)]
+            row = [Polynomial.constant(vars, 1 if e.arg == t else 0) for t in range(n)]
         elif e.kind == "polynomial":
-            expr = e.expr.with_order(order)
-            row = [expr.partial_derivative(t) for t in range(n)]
+            row = [e.expr.partial_derivative(t) for t in range(n)]
         elif e.kind in ("sin", "cos"):
             mate = map.companion(j)
             if mate is None:
@@ -214,16 +212,16 @@ def jacobian(map):
                     f"derivative of {e.describe(map.source_vars)} needs the "
                     f"companion {want} entry, which the map does not declare",
                 )
-            d = Polynomial.variable(vars, mate, order)
+            d = Polynomial.variable(vars, mate)
             d = -d if e.kind == "cos" else d
             row = [d if t == e.arg else zero for t in range(n)]
         else:  # reciprocal
-            q = e.expr.with_order(order)
+            q = e.expr
             dq = [zero] * n
             for s in q.variables_present():
                 q_s = q.partial_derivative(s)
                 dq = [a + q_s * r for a, r in zip(dq, rows[s])]
-            z = Polynomial.variable(vars, j, order)
+            z = Polynomial.variable(vars, j)
             row = [-(z * z) * a for a in dq]
         rows.append(row)
     return rows
@@ -238,7 +236,7 @@ def pushforward(rows, field):
         for d, h in zip(row, field.components):
             d._check(h)
             _mul_into(acc, d.coeffs, h.coeffs)
-        comps.append(Polynomial(field.vars, acc, row[0].order, _clean=False))
+        comps.append(Polynomial(field.vars, acc, _clean=False))
     return VectorField(comps, field.label)
 
 
@@ -377,7 +375,7 @@ def vanishing_coordinates(ideal):
     certified by radical membership."""
     names = []
     for i, name in enumerate(ideal.vars.names):
-        z = Polynomial.variable(ideal.vars, i, ideal.order)
+        z = Polynomial.variable(ideal.vars, i)
         if in_radical(z, ideal):
             names.append(name)
     return tuple(names)

@@ -8,7 +8,7 @@ from math import lcm, prod
 from random import Random
 from typing import NamedTuple
 
-from .poly import Polynomial
+from .poly import Polynomial, mono_key
 from .rationals import Q
 from .ideals import Ideal
 from .modules import PolySubmodule
@@ -114,7 +114,7 @@ def minor_ideal(matrix, size):
     if size < 1 or size > min(n, m):
         raise ValueError(f"no {size}x{size} minors in a {n}x{m} matrix")
     first = matrix.entries[0][0]
-    root = {(): Polynomial.constant(first.vars, 1, first.order)}
+    root = {(): Polynomial.constant(first.vars, 1)}
     gens = []
     seen = set()
     for d in _leaf_minors(matrix.entries, root, -1, size):
@@ -122,8 +122,7 @@ def minor_ideal(matrix, size):
         if d not in seen:
             seen.add(d)
             gens.append(d)
-    key = first.order.key
-    gens.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
+    gens.sort(key=lambda g: mono_key(g.leading_monomial()), reverse=True)
     return Ideal(matrix.vars, gens)
 
 
@@ -202,6 +201,6 @@ def generic_rank(matrix, seed=0, samples=5, module=None):
     if module is None:
         columns = [VectorField(matrix.column(j), label)
                    for j, label in enumerate(matrix.labels)]
-        module = PolySubmodule(matrix.vars, n, columns, matrix.entries[0][0].order)
+        module = PolySubmodule(matrix.vars, n, columns)
     rank = module.rank()
     return GenericRank(rank, witness if rank == best else None)

@@ -2,10 +2,11 @@
 bracket-generated modules, built one depth at a time.
 
 Vectors are flat dicts {(position, monomial): coefficient}; the term order
-is position-over-term with earlier positions larger, so leading terms sit
-in the lowest occupied component.  An ideal of Q[x] is a submodule of
-Q[x]^1, so module_buchberger computes the ideal bases too (ideals.Ideal is
-a PolySubmodule at dim 1).
+is position-over-term with earlier positions larger and degrevlex within a
+position, so leading terms sit in the lowest occupied component.  An ideal
+of Q[x] is a submodule of Q[x]^1, so module_buchberger computes the ideal
+bases too (ideals.Ideal is a PolySubmodule at dim 1), and ideal
+intersections at dim 2.
 
 The product criterion drops a pair whose leading monomials are coprime.
 It holds for the pairs led in the last position, dim - 1, and only there.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import heapq
 from operator import add, le, sub
 
-from .poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_gcd, mono_lcm, mono_mul
+from .poly import Polynomial, mono_div, mono_divides, mono_gcd, mono_key, mono_lcm, mono_mul
 from .rationals import ONE, ZERO
 from .vectorfields import VectorField, new_brackets, ray_key
 
@@ -37,28 +38,29 @@ def field_to_dict(field):
     return d
 
 
-def dict_to_field(vars, dim, d, label, order=DEGREVLEX):
+def dict_to_field(vars, dim, d, label):
     comps = [{} for _ in range(dim)]
     for (pos, m), c in d.items():
         comps[pos][m] = c
-    polys = [Polynomial(vars, comp, order, _clean=False) for comp in comps]
+    polys = [Polynomial(vars, comp, _clean=False) for comp in comps]
     return VectorField(polys, label)
 
 
-def _mv_negkey(order):
+def _mv_negkey(term):
     """Heap key of (position, monomial) terms: the smallest is the largest
-    term, position over term with earlier positions larger."""
-    negkey = order.negkey
-    return lambda term: (term[0], negkey(term[1]))
+    term, position over term with earlier positions larger.  Within a
+    position it is poly.mono_negkey, flattened into the tuple."""
+    pos, mono = term
+    return (pos, -sum(mono), mono[::-1])
 
 
-def _mv_lt(d, negf):
-    term = min(d, key=negf)
+def _mv_lt(d):
+    term = min(d, key=_mv_negkey)
     return term, d[term]
 
 
-def _mv_monic(d, negf):
-    _, lc = _mv_lt(d, negf)
+def _mv_monic(d):
+    _, lc = _mv_lt(d)
     if lc == ONE:
         return d
     inv = ONE / lc
@@ -69,7 +71,7 @@ def _mv_shift(d, mono):
     return {(p, mono_mul(m, mono)): c for (p, m), c in d.items()}
 
 
-def _mv_reduce(d, reducers, order):
+def _mv_reduce(d, reducers):
     """Normal form of a vector dict modulo monic reducers, given as
     {position: [(leading monomial, vector dict)]}.
 
@@ -78,7 +80,7 @@ def _mv_reduce(d, reducers, order):
     """
     if not reducers:
         return dict(d)
-    negf = _mv_negkey(order)
+    negf = _mv_negkey
     heappop, heappush, reducers_at = heapq.heappop, heapq.heappush, reducers.get
     work = dict(d)
     remainder = {}
@@ -125,19 +127,19 @@ def _make_mv_reducers(basis):
     return out
 
 
-def pair_update(lms, active, pairs, key, pos, dim):
+def pair_update(lms, active, pairs, pos, dim):
     """Gebauer-Moeller update for the newest element, index len(lms) - 1,
     led in position pos of Q[x]^dim.
 
     lms holds the leading monomials of all elements by index, active the
     elements of position pos, and pairs their heap of pending pairs
-    (key(lcm), i, j, lcm).  The new element h drops each old pair whose lcm
-    lm(h) divides, unless lm(h) forms that same lcm with one of the pair
-    (B-criterion); it keeps one of its own pairs per minimal lcm (M/F
-    criteria), none with a coprime leading monomial in the last position
-    (product criterion, see the module docstring); and it retires the
-    elements whose leading monomial lm(h) divides.  Returns the new active
-    list and pair heap.
+    (mono_key(lcm), i, j, lcm).  The new element h drops each old pair
+    whose lcm lm(h) divides, unless lm(h) forms that same lcm with one of
+    the pair (B-criterion); it keeps one of its own pairs per minimal lcm
+    (M/F criteria), none with a coprime leading monomial in the last
+    position (product criterion, see the module docstring); and it retires
+    the elements whose leading monomial lm(h) divides.  Returns the new
+    active list and pair heap.
     """
     k = len(lms) - 1
     hm = lms[k]
@@ -161,14 +163,14 @@ def pair_update(lms, active, pairs, key, pos, dim):
         or mono_lcm(lms[i], hm) == L
         or mono_lcm(lms[j], hm) == L
     ]
-    pairs.extend((key(L), i, k, L) for L, i, coprime in new if not coprime)
+    pairs.extend((mono_key(L), i, k, L) for L, i, coprime in new if not coprime)
     heapq.heapify(pairs)
     active = [i for i in active if not mono_divides(hm, lms[i])]
     active.append(k)
     return active, pairs
 
 
-def module_buchberger(gens, order, dim, basis=()):
+def module_buchberger(gens, dim, basis=()):
     """Reduced monic Groebner basis of a reduced basis plus more vectors of
     Q[x]^dim, sorted by descending leading term.
 
@@ -182,23 +184,21 @@ def module_buchberger(gens, order, dim, basis=()):
     others.  Each output element has its leading term as its first key, and
     the elements of basis must too.
     """
-    negf = _mv_negkey(order)
-    key = order.key
     G = []  # every element ever added; retired ones stay for the pair indices
     lms = []
     active = {}  # position -> indices of G still in the basis
-    pairs = {}  # position -> heap of (key(lcm), i, j, lcm)
+    pairs = {}  # position -> heap of (mono_key(lcm), i, j, lcm)
     reducers = {}  # position -> [(lm, element)] of the active elements
 
     def insert(d):
-        (pos, lm), lc = _mv_lt(d, negf)
+        (pos, lm), lc = _mv_lt(d)
         if lc != ONE:
             inv = ONE / lc
             d = {t: c * inv for t, c in d.items()}
         G.append(d)
         lms.append(lm)
         active[pos], pairs[pos] = pair_update(
-            lms, active.get(pos, []), pairs.get(pos, []), key, pos, dim)
+            lms, active.get(pos, []), pairs.get(pos, []), pos, dim)
         reducers[pos] = [(lms[i], G[i]) for i in active[pos]]
 
     for d in basis:
@@ -208,8 +208,8 @@ def module_buchberger(gens, order, dim, basis=()):
         active.setdefault(pos, []).append(len(G) - 1)
         reducers.setdefault(pos, []).append((lm, d))
     # ascending leading terms; reverse=True keeps ties in input order
-    for d in sorted(filter(None, gens), key=lambda d: negf(_mv_lt(d, negf)[0]), reverse=True):
-        h = _mv_reduce(d, reducers, order)
+    for d in sorted(filter(None, gens), key=lambda d: _mv_negkey(_mv_lt(d)[0]), reverse=True):
+        h = _mv_reduce(d, reducers)
         if h:
             insert(h)
     while True:
@@ -225,7 +225,7 @@ def module_buchberger(gens, order, dim, basis=()):
                 s[t] = v
             else:
                 del s[t]
-        h = _mv_reduce(s, reducers, order)
+        h = _mv_reduce(s, reducers)
         if h:
             insert(h)
     # the active elements form a minimal basis: each entered reduced against
@@ -237,7 +237,7 @@ def module_buchberger(gens, order, dim, basis=()):
         for lm, d in held:
             lt = (pos, lm)
             tail = {t: c for t, c in d.items() if t != lt}
-            out.append((negf(lt), {lt: ONE, **_mv_reduce(tail, reducers, order)}))
+            out.append((_mv_negkey(lt), {lt: ONE, **_mv_reduce(tail, reducers)}))
     out.sort(key=lambda e: e[0])
     return tuple(d for _, d in out)
 
@@ -259,12 +259,11 @@ class PolySubmodule:
     and extension.
     """
 
-    __slots__ = ("vars", "dim", "order", "gens", "_seed", "_gb", "_reducers")
+    __slots__ = ("vars", "dim", "gens", "_seed", "_gb", "_reducers")
 
-    def __init__(self, vars, dim, gens, order=DEGREVLEX):
+    def __init__(self, vars, dim, gens):
         self.vars = vars
         self.dim = dim
-        self.order = order
         self.gens = tuple(d for d in map(_as_dict, gens) if d)
         self._seed = ()  # the reduced basis that the first gens form, if any
         self._gb = None
@@ -277,25 +276,22 @@ class PolySubmodule:
         return d
 
     def _like(self, gens):
-        return PolySubmodule(self.vars, self.dim, gens, self.order)
+        return PolySubmodule(self.vars, self.dim, gens)
 
     def _basis(self):
         if self._gb is None:
             extra = [self._vec(g) for g in self.gens[len(self._seed):]]
-            self._gb = module_buchberger(extra, self.order, self.dim, self._seed)
+            self._gb = module_buchberger(extra, self.dim, self._seed)
             self._reducers = _make_mv_reducers(self._gb)
         return self._gb
 
     def _reduced(self, vec):
         self._basis()
-        return _mv_reduce(self._vec(vec), self._reducers, self.order)
+        return _mv_reduce(self._vec(vec), self._reducers)
 
     def groebner_basis(self):
         gb = self._basis()
-        return tuple(
-            dict_to_field(self.vars, self.dim, d, f"m{i}", self.order)
-            for i, d in enumerate(gb)
-        )
+        return tuple(dict_to_field(self.vars, self.dim, d, f"m{i}") for i, d in enumerate(gb))
 
     def normal_form(self, vec):
         return self._unvec(self._reduced(vec))
@@ -312,16 +308,10 @@ class PolySubmodule:
         return len(self._reducers)
 
     def equals(self, other):
-        """Same span: both reduced bases, taken under this view's order,
-        agree.  Reduced bases are unique and sorted, so they compare as
-        tuples."""
-        if self.vars != other.vars or self.dim != other.dim:
-            return False
-        if self.order == other.order:
-            theirs = other._basis()
-        else:
-            theirs = module_buchberger(map(other._vec, other.gens), self.order, self.dim)
-        return self._basis() == theirs
+        """Same span: both reduced bases agree.  Reduced bases are unique
+        and sorted, so they compare as tuples."""
+        return (self.vars == other.vars and self.dim == other.dim
+                and self._basis() == other._basis())
 
     def extended(self, gens):
         """The span of this view plus the given generators.  Its basis is
@@ -337,7 +327,7 @@ class PolySubmodule:
         d = self._reduced(vec)
         if not d:
             return self._unvec(d), self
-        nf = self._unvec(_mv_monic(d, _mv_negkey(self.order)))
+        nf = self._unvec(_mv_monic(d))
         return nf, self.extended([nf])
 
     def __repr__(self):
@@ -371,7 +361,7 @@ def chain_depths(system, mode="accessibility"):
     seeds = list(fresh.values())
     rays = set(fresh)
     ops = system.operators()
-    module = PolySubmodule(vars, dim, seeds, system.generators(mode)[0].components[0].order)
+    module = PolySubmodule(vars, dim, seeds)
     frontier = tuple(seeds)
     yield frontier, module, fresh
     while True:
@@ -380,7 +370,7 @@ def chain_depths(system, mode="accessibility"):
         for br in fresh.values():
             nf, module = module.adjoin(br)
             if nf:
-                retained.append(dict_to_field(vars, dim, nf, br.label, module.order))
+                retained.append(dict_to_field(vars, dim, nf, br.label))
         yield tuple(retained), module, fresh
         if not retained:
             return

@@ -1,10 +1,10 @@
-"""Multivariate polynomials over Q with a fixed monomial order.
+"""Multivariate polynomials over Q in the degrevlex monomial order.
 
 Representation: sparse dict keyed by dense exponent tuples (one slot per
 variable), exact rational coefficients, no floats anywhere.  The term list
-exposed by Polynomial.terms is sorted strictly descending in the active
-order, so equal polynomials have identical visible representations and the
-printed form is canonical.
+exposed by Polynomial.terms is sorted strictly descending in degrevlex, so
+equal polynomials have identical visible representations and the printed
+form is canonical.
 """
 
 from __future__ import annotations
@@ -63,85 +63,18 @@ class VarTable:
         return f"VarTable({list(self.names)!r})"
 
 
-class MonomialOrder:
-    """Total order on exponent tuples: degrevlex (default), deglex or lex."""
+# Monomials are plain exponent tuples, ordered by degrevlex.
 
-    KINDS = ("degrevlex", "deglex", "lex")
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind="degrevlex"):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    def key(self, mono):
-        """Sort key; larger key = larger monomial."""
-        if self.kind == "lex":
-            return mono
-        if self.kind == "deglex":
-            return (sum(mono), mono)
-        rev = tuple(-e for e in reversed(mono))
-        return (sum(mono), rev)
-
-    def negkey(self, mono):
-        """key(mono) with every integer negated: a min-heap on it pops the
-        largest monomial first."""
-        if self.kind == "lex":
-            return tuple(-e for e in mono)
-        if self.kind == "deglex":
-            return (-sum(mono), tuple(-e for e in mono))
-        return (-sum(mono), mono[::-1])
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
+def mono_key(mono):
+    """Degrevlex sort key; larger key = larger monomial."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
-DEGLEX = MonomialOrder("deglex")
+def mono_negkey(mono):
+    """mono_key(mono) with every integer negated: a min-heap on it pops the
+    largest monomial first."""
+    return (-sum(mono), mono[::-1])
 
-
-class BlockOrder:
-    """Degrevlex on the first `head` variables, then degrevlex on the rest.
-
-    Internal elimination order (tag-variable tricks); not part of the
-    public order surface, but satisfies the same key() protocol.
-    """
-
-    __slots__ = ("head",)
-
-    def __init__(self, head):
-        self.head = head
-
-    def key(self, mono):
-        h = self.head
-        a, b = mono[:h], mono[h:]
-        return (sum(a), tuple(-e for e in reversed(a)), sum(b), tuple(-e for e in reversed(b)))
-
-    def negkey(self, mono):
-        """key(mono) with every integer negated, as MonomialOrder.negkey."""
-        h = self.head
-        a, b = mono[:h], mono[h:]
-        return (-sum(a), a[::-1], -sum(b), b[::-1])
-
-    def __eq__(self, other):
-        return isinstance(other, BlockOrder) and self.head == other.head
-
-    def __hash__(self):
-        return hash(("block", self.head))
-
-    def __repr__(self):
-        return f"BlockOrder({self.head})"
-
-
-# Monomials are plain exponent tuples.
 
 def mono_mul(a, b):
     return tuple(map(add, a, b))
@@ -184,13 +117,12 @@ def _mul_into(acc, a, b, sign=1):
 
 
 class Polynomial:
-    """Immutable sparse polynomial tied to a VarTable and a MonomialOrder."""
+    """Immutable sparse polynomial tied to a VarTable, its terms in degrevlex."""
 
-    __slots__ = ("vars", "order", "coeffs", "_lt", "_hash", "_partials")
+    __slots__ = ("vars", "coeffs", "_lt", "_hash", "_partials")
 
-    def __init__(self, vars, coeffs, order=DEGREVLEX, _clean=True):
+    def __init__(self, vars, coeffs, _clean=True):
         self.vars = vars
-        self.order = order
         if _clean:
             n = len(vars)
             cleaned = {}
@@ -209,30 +141,30 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars, order=DEGREVLEX):
-        return cls(vars, {}, order, _clean=False)
+    def zero(cls, vars):
+        return cls(vars, {}, _clean=False)
 
     @classmethod
-    def constant(cls, vars, value, order=DEGREVLEX):
+    def constant(cls, vars, value):
         value = Q(value)
         if not value:
-            return cls.zero(vars, order)
-        return cls(vars, {(0,) * len(vars): value}, order, _clean=False)
+            return cls.zero(vars)
+        return cls(vars, {(0,) * len(vars): value}, _clean=False)
 
     @classmethod
-    def variable(cls, vars, which, order=DEGREVLEX):
+    def variable(cls, vars, which):
         i = vars.index(which) if isinstance(which, str) else which
         mono = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {mono: ONE}, order, _clean=False)
+        return cls(vars, {mono: ONE}, _clean=False)
 
     @classmethod
-    def from_terms(cls, vars, terms, order=DEGREVLEX):
+    def from_terms(cls, vars, terms):
         """terms: iterable of (coefficient, exponent tuple)."""
         coeffs = {}
         for c, mono in terms:
             mono = tuple(mono)
             coeffs[mono] = coeffs.get(mono, ZERO) + Q(c)
-        return cls(vars, coeffs, order)
+        return cls(vars, coeffs)
 
     # -- basic queries -----------------------------------------------------
 
@@ -240,7 +172,7 @@ class Polynomial:
     def terms(self):
         """Term list [(coefficient, monomial), ...], strictly descending."""
         coeffs = self.coeffs
-        return tuple((coeffs[m], m) for m in sorted(coeffs, key=self.order.negkey))
+        return tuple((coeffs[m], m) for m in sorted(coeffs, key=mono_negkey))
 
     def is_zero(self):
         return not self.coeffs
@@ -263,11 +195,11 @@ class Polynomial:
         return max(sum(m) for m in self.coeffs)
 
     def lt(self):
-        """(coefficient, monomial) of the leading term in the active order."""
+        """(coefficient, monomial) of the leading term."""
         if self._lt is None:
             if not self.coeffs:
                 raise ValueError("zero polynomial has no leading term")
-            mono = min(self.coeffs, key=self.order.negkey)
+            mono = min(self.coeffs, key=mono_negkey)
             self._lt = (self.coeffs[mono], mono)
         return self._lt
 
@@ -284,9 +216,7 @@ class Polynomial:
         if lc == ONE:
             return self
         inv = ONE / lc
-        return Polynomial(
-            self.vars, {m: c * inv for m, c in self.coeffs.items()}, self.order, _clean=False
-        )
+        return Polynomial(self.vars, {m: c * inv for m, c in self.coeffs.items()}, _clean=False)
 
     def variables_present(self):
         present = set()
@@ -301,12 +231,10 @@ class Polynomial:
     def _check(self, other):
         if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("variable-table mismatch")
-        if self.order is not other.order and self.order != other.order:
-            raise ValueError("monomial-order mismatch")
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.vars, other, self.order)
+            other = Polynomial.constant(self.vars, other)
         self._check(other)
         res = dict(self.coeffs)
         for m, c in other.coeffs.items():
@@ -319,18 +247,16 @@ class Polynomial:
                     res[m] = v
                 else:
                     del res[m]
-        return Polynomial(self.vars, res, self.order, _clean=False)
+        return Polynomial(self.vars, res, _clean=False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(
-            self.vars, {m: -c for m, c in self.coeffs.items()}, self.order, _clean=False
-        )
+        return Polynomial(self.vars, {m: -c for m, c in self.coeffs.items()}, _clean=False)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.vars, other, self.order)
+            other = Polynomial.constant(self.vars, other)
         self._check(other)
         res = dict(self.coeffs)
         for m, c in other.coeffs.items():
@@ -343,7 +269,7 @@ class Polynomial:
                     res[m] = v
                 else:
                     del res[m]
-        return Polynomial(self.vars, res, self.order, _clean=False)
+        return Polynomial(self.vars, res, _clean=False)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -352,24 +278,22 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             c = Q(other)
             if not c:
-                return Polynomial.zero(self.vars, self.order)
-            return Polynomial(
-                self.vars, {m: v * c for m, v in self.coeffs.items()}, self.order, _clean=False
-            )
+                return Polynomial.zero(self.vars)
+            return Polynomial(self.vars, {m: v * c for m, v in self.coeffs.items()}, _clean=False)
         self._check(other)
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
         res = {}
         _mul_into(res, a, b)
-        return Polynomial(self.vars, res, self.order, _clean=False)
+        return Polynomial(self.vars, res, _clean=False)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.vars, 1, self.order)
+        result = Polynomial.constant(self.vars, 1)
         base = self
         while n:
             if n & 1:
@@ -397,7 +321,7 @@ class Polynomial:
                 e = m[i]
                 if e:
                     res[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
-            d = self._partials[i] = Polynomial(self.vars, res, self.order, _clean=False)
+            d = self._partials[i] = Polynomial(self.vars, res, _clean=False)
         return d
 
     def evaluate(self, point):
@@ -414,10 +338,9 @@ class Polynomial:
             total = total + v
         return total
 
-    def map_vars(self, new_vars, index_map, order=None):
+    def map_vars(self, new_vars, index_map):
         """Transport into another table; index_map[i] is the new slot of
         old variable i.  The map must be injective on present variables."""
-        order = order or self.order
         width = len(new_vars)
         res = {}
         for m, c in self.coeffs.items():
@@ -428,12 +351,7 @@ class Polynomial:
             res[tuple(new)] = c
         if len(res) != len(self.coeffs):
             raise ValueError("variable map is not injective on this polynomial")
-        return Polynomial(new_vars, res, order, _clean=False)
-
-    def with_order(self, order):
-        if order == self.order:
-            return self
-        return Polynomial(self.vars, self.coeffs, order, _clean=False)
+        return Polynomial(new_vars, res, _clean=False)
 
     # -- identity ----------------------------------------------------------
 
@@ -494,9 +412,8 @@ def exact_div(p, d):
     dc, dm = d.lt()
     work = dict(p.coeffs)
     quot = {}
-    negkey = p.order.negkey
     while work:
-        m = min(work, key=negkey)
+        m = min(work, key=mono_negkey)
         c = work[m]
         if not all(map(le, dm, m)):
             raise ValueError("division is not exact")
@@ -510,7 +427,7 @@ def exact_div(p, d):
                 work[mm] = v
             elif mm in work:
                 del work[mm]
-    return Polynomial(p.vars, quot, p.order, _clean=False)
+    return Polynomial(p.vars, quot, _clean=False)
 
 
 def divides(d, p):
@@ -539,10 +456,10 @@ def poly_gcd(p, q):
     (low_p, a), (low_q, b) = _primitive(p), _primitive(q)
     mono = mono_gcd(low_p, low_q)
     bounds = _degree_bounds(a, b, _prime(0))
-    X = Polynomial(p.vars, {mono: ONE}, p.order, _clean=False)
+    X = Polynomial(p.vars, {mono: ONE}, _clean=False)
     if not any(bounds):
         return X
-    A, B = Polynomial(p.vars, a, p.order), Polynomial(p.vars, b, p.order)
+    A, B = Polynomial(p.vars, a), Polynomial(p.vars, b)
     lead, best = gcd(a[max(a)], b[max(b)]), None
     for i in count():
         P = _prime(i)
@@ -559,7 +476,7 @@ def poly_gcd(p, q):
             u += M // P * ((h.get(m, 0) * lead - u) * inv % P)
             H[m] = u - M if 2 * u > M else u
         content = gcd(*H.values())
-        G = Polynomial(p.vars, {m: c // content for m, c in H.items()}, p.order)
+        G = Polynomial(p.vars, {m: c // content for m, c in H.items()})
         if divides(G, A) and divides(G, B):
             return (X * G).monic()
 
@@ -750,7 +667,7 @@ def squarefree_part(p):
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial is undefined")
     if p.is_constant():
-        return Polynomial.constant(p.vars, 1, p.order)
+        return Polynomial.constant(p.vars, 1)
     d = p
     for i in p.variables_present():
         if d.is_constant():
@@ -792,11 +709,10 @@ def tokenize_expression(text, line=1, col=1):
 
 
 class _ExprParser:
-    def __init__(self, tokens, vars, order, resolve_call=None, resolve_division=None):
+    def __init__(self, tokens, vars, resolve_call=None, resolve_division=None):
         self.tokens = tokens
         self.pos = 0
         self.vars = vars
-        self.order = order
         self.resolve_call = resolve_call
         self.resolve_division = resolve_division
 
@@ -884,7 +800,7 @@ class _ExprParser:
     def atom(self):
         kind, val, line, col = self.advance()
         if kind == "num":
-            return Polynomial.constant(self.vars, int(val), self.order)
+            return Polynomial.constant(self.vars, int(val))
         if kind == "name":
             nxt = self.peek()
             if nxt[1] == "(":
@@ -895,7 +811,7 @@ class _ExprParser:
                     raise ParseError(f"unknown function {val!r}", line, col)
                 return self.resolve_call(val, arg, line, col)
             if val in self.vars:
-                return Polynomial.variable(self.vars, val, self.order)
+                return Polynomial.variable(self.vars, val)
             raise ParseError(f"unknown variable {val!r}", line, col)
         if val == "(":
             p = self.expr()
@@ -905,10 +821,9 @@ class _ExprParser:
                          expected="a number, variable or '('")
 
 
-def parse_polynomial(text, vars, order=DEGREVLEX, *, line=1, col=1,
-                     resolve_call=None, resolve_division=None):
+def parse_polynomial(text, vars, *, line=1, col=1, resolve_call=None, resolve_division=None):
     """Parse the polynomial text grammar: integers, rationals a/b, variables,
     + - * ^ and parentheses; whitespace insignificant."""
     tokens = tokenize_expression(text, line, col)
-    parser = _ExprParser(tokens, vars, order, resolve_call, resolve_division)
+    parser = _ExprParser(tokens, vars, resolve_call, resolve_division)
     return parser.parse()

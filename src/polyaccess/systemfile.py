@@ -8,14 +8,12 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .immersion import AnalyticSystem, Entry, ImmersionMap, derive_immersed
-from .poly import DEGLEX, DEGREVLEX, LEX, Polynomial, VarTable, parse_polynomial
+from .poly import Polynomial, VarTable, parse_polynomial
 from .vectorfields import SystemSpec, VectorField
 
-ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX, "deglex": DEGLEX}
 MODES = ("accessibility", "strong")
-OPTION_KEYS = ("order", "max-depth", "seed", "mode", "rank-threshold")
+OPTION_KEYS = ("max-depth", "seed", "mode", "rank-threshold")
 DEFAULTS = {
-    "order": "degrevlex",
     "max-depth": None,
     "seed": 0,
     "mode": "accessibility",
@@ -167,12 +165,7 @@ def _parse_options(block):
         if key not in OPTION_KEYS:
             raise ParseError(f"unknown option {key!r}", lineno, 1,
                              expected="one of " + ", ".join(OPTION_KEYS))
-        if key == "order":
-            if value not in ORDERS:
-                raise ParseError(f"unknown order {value!r}", lineno, col,
-                                 expected="degrevlex, lex or deglex")
-            opts[key] = value
-        elif key == "mode":
+        if key == "mode":
             if value not in MODES:
                 raise ParseError(f"unknown mode {value!r}", lineno, col,
                                  expected="accessibility or strong")
@@ -188,7 +181,7 @@ def _parse_options(block):
     return opts
 
 
-def _lookup_hooks(entries, source_vars, aliased, target_vars, order):
+def _lookup_hooks(entries, source_vars, aliased, target_vars):
     """Hooks resolving sin/cos calls and reciprocal divisions against the
     declared entries; `entries` may still be growing while parsing the
     immersion block itself."""
@@ -204,7 +197,7 @@ def _lookup_hooks(entries, source_vars, aliased, target_vars, order):
             raise ParseError(f"{fname}() takes a single state variable", line, col)
         for j, e in enumerate(entries):
             if e.kind == fname and e.arg == idx:
-                return Polynomial.variable(aliased, j, order)
+                return Polynomial.variable(aliased, j)
         raise ParseError(
             f"undeclared transcendental {fname}({source_vars.names[idx]})",
             line, col, expected="a matching immersion entry",
@@ -214,7 +207,7 @@ def _lookup_hooks(entries, source_vars, aliased, target_vars, order):
         den_t = den.map_vars(target_vars, identity)
         for j, e in enumerate(entries):
             if e.kind == "reciprocal" and e.expr == den_t:
-                return num * Polynomial.variable(aliased, j, order)
+                return num * Polynomial.variable(aliased, j)
         raise ParseError(
             "undeclared reciprocal denominator", line, col,
             expected=f"an immersion entry 1/({den})",
@@ -223,7 +216,7 @@ def _lookup_hooks(entries, source_vars, aliased, target_vars, order):
     return resolve_call, resolve_division
 
 
-def _parse_entry_rhs(rhs, lineno, col, source_vars, aliased, target_vars, order, hooks):
+def _parse_entry_rhs(rhs, lineno, col, source_vars, aliased, target_vars, hooks):
     s = rhs.strip()
     col += len(rhs) - len(rhs.lstrip())
     n = len(source_vars)
@@ -237,15 +230,15 @@ def _parse_entry_rhs(rhs, lineno, col, source_vars, aliased, target_vars, order,
     compact = s.replace(" ", "")
     if compact.startswith("1/"):
         after = s[s.index("/") + 1:]
-        den = parse_polynomial(after, aliased, order, line=lineno,
+        den = parse_polynomial(after, aliased, line=lineno,
                                col=col + s.index("/") + 1,
                                resolve_call=hooks[0], resolve_division=hooks[1])
         return Entry("reciprocal", expr=den.map_vars(target_vars, identity))
-    p = parse_polynomial(s, source_vars, order, line=lineno, col=col)
+    p = parse_polynomial(s, source_vars, line=lineno, col=col)
     return Entry("polynomial", expr=p.map_vars(target_vars, identity[:n]))
 
 
-def _parse_immersion(block, source_vars, order):
+def _parse_immersion(block, source_vars):
     targets = None
     entry_lines = {}
     relation_lines = []
@@ -283,15 +276,14 @@ def _parse_immersion(block, source_vars, order):
     except ValueError as e:
         raise ParseError(str(e), t_line, 1) from None
     entries = [Entry("coordinate", j) for j in range(n)]
-    hooks = _lookup_hooks(entries, source_vars, aliased, target_vars, order)
+    hooks = _lookup_hooks(entries, source_vars, aliased, target_vars)
     for j in range(n, nstar):
         tname = target_vars.names[j]
         if tname not in entry_lines:
             raise ParseError(f"missing entry for target {tname!r}", t_line, 1)
         lineno, col, rhs = entry_lines.pop(tname)
         entries.append(
-            _parse_entry_rhs(rhs, lineno, col, source_vars, aliased, target_vars,
-                             order, hooks)
+            _parse_entry_rhs(rhs, lineno, col, source_vars, aliased, target_vars, hooks)
         )
     for name, (lineno, col, _) in entry_lines.items():
         if name in target_vars:
@@ -301,13 +293,13 @@ def _parse_immersion(block, source_vars, order):
             )
         raise ParseError(f"entry for undeclared target {name!r}", lineno, 1)
     try:
-        imap = ImmersionMap(source_vars, target_vars, entries, order)
+        imap = ImmersionMap(source_vars, target_vars, entries)
     except ValueError as e:
         raise ParseError(str(e), t_line, 1) from None
     relations = imap.relation_ideal()
     identity = list(range(nstar))
     for lineno, col, text in relation_lines:
-        rel = parse_polynomial(text, aliased, order, line=lineno, col=col)
+        rel = parse_polynomial(text, aliased, line=lineno, col=col)
         if not relations.normal_form(rel.map_vars(imap.target_vars, identity)).is_zero():
             raise ParseError(
                 "relation does not follow from the declared entries", lineno, col,
@@ -336,7 +328,6 @@ def parse_file(text, name=None, overrides=None):
                 if key in POSITIVE_KEYS and value <= 0:
                     raise ValueError(f"{key} must be positive")
                 options[key] = value
-    order = ORDERS[options["order"]]
     if sec.vars is None:
         raise ParseError("missing vars section", 1, 1, expected="vars <names>")
     v_line, v_rest = sec.vars
@@ -344,12 +335,12 @@ def parse_file(text, name=None, overrides=None):
     n = len(source_vars)
     imap = aliased = None
     if sec.immersion is not None:
-        imap, aliased = _parse_immersion(sec.immersion, source_vars, order)
+        imap, aliased = _parse_immersion(sec.immersion, source_vars)
     parse_vars = aliased if aliased is not None else source_vars
     call_hook = div_hook = None
     if imap is not None:
         call_hook, div_hook = _lookup_hooks(imap.entries, imap.source_vars, aliased,
-                                            imap.target_vars, order)
+                                            imap.target_vars)
 
     def parse_components(lineno, col, text_, label):
         parts = _split_components(text_, lineno, col)
@@ -358,7 +349,7 @@ def parse_file(text, name=None, overrides=None):
                 f"{label} needs {n} components, found {len(parts)}", lineno, col,
             )
         comps = [
-            parse_polynomial(chunk, parse_vars, order, line=lineno, col=ccol,
+            parse_polynomial(chunk, parse_vars, line=lineno, col=ccol,
                              resolve_call=call_hook, resolve_division=div_hook)
             for chunk, ccol in parts
         ]
@@ -372,7 +363,7 @@ def parse_file(text, name=None, overrides=None):
         d_line, d_col, d_text = sec.drift
         drift = VectorField(parse_components(d_line, d_col, d_text, "drift"), "f")
     else:
-        zero = Polynomial.zero(field_vars, order)
+        zero = Polynomial.zero(field_vars)
         drift = VectorField([zero] * n, "f")
     if not sec.inputs:
         raise ParseError("at least one input section is required",

@@ -71,7 +71,7 @@ def lie_derivative(field, p):
     """Derivative of the scalar p along field: sum_i dp/dx_i * field_i."""
     acc = {}
     _add_lie_terms(acc, field, p, 1)
-    return Polynomial(p.vars, acc, p.order, _clean=False)
+    return Polynomial(p.vars, acc, _clean=False)
 
 
 def lie_bracket(f, g):
@@ -85,7 +85,7 @@ def lie_bracket(f, g):
         acc = {}
         _add_lie_terms(acc, f, gj, 1)
         _add_lie_terms(acc, g, fj, -1)
-        comps.append(Polynomial(gj.vars, acc, gj.order, _clean=False))
+        comps.append(Polynomial(gj.vars, acc, _clean=False))
     return VectorField(comps, f"[{f.label},{g.label}]")
 
 

@@ -328,7 +328,9 @@ class TestFlagOverrides:
         assert out.splitlines()[0] == "r* = 2; S_∞: ⟨x1, x2⟩"
 
     def test_order_flag(self, planar_file, capsys):
-        """The monomial order flag is accepted and the result is unchanged."""
-        assert main(["index", planar_file, "--order", "lex"]) == 0
-        out = capsys.readouterr().out
-        assert "r* = 2" in out
+        """There is no monomial order flag: degrevlex is the only order, and
+        --order is an argument error with exit 2."""
+        with pytest.raises(SystemExit) as raised:
+            main(["index", planar_file, "--order", "lex"])
+        assert raised.value.code == 2
+        assert "--order" in capsys.readouterr().err

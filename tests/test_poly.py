@@ -1,4 +1,4 @@
-"""Polynomial kernel: arithmetic, orders, parsing, printing."""
+"""Polynomial kernel: arithmetic, the degrevlex order, parsing, printing."""
 
 import random
 import signal
@@ -8,26 +8,25 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyaccess import (
-    DEGLEX,
-    DEGREVLEX,
-    LEX,
-    BlockOrder,
-    ParseError,
-    Polynomial,
-    VarTable,
-    parse_polynomial,
+from polyaccess import ParseError, Polynomial, VarTable, parse_polynomial
+from polyaccess.modules import _mv_lt
+from polyaccess.poly import (
+    _degree_bounds,
+    _point,
+    _prime,
+    mono_key,
+    mono_negkey,
+    poly_gcd,
+    squarefree_part,
 )
-from polyaccess.modules import _mv_lt, _mv_negkey
-from polyaccess.poly import _degree_bounds, _point, _prime, poly_gcd, squarefree_part
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
 V3 = VarTable(("x1", "x2", "x3"))
 
 
-def p(text, vars=V3, order=DEGREVLEX):
-    return parse_polynomial(text, vars, order)
+def p(text, vars=V3):
+    return parse_polynomial(text, vars)
 
 
 def random_poly(rng, vars, max_deg=3, terms=4):
@@ -135,24 +134,10 @@ class TestArithmetic:
 
 
 class TestOrders:
-    def test_leading_terms(self):
-        """The three orders rank x1^2 vs x2^3 differently."""
-        a = p("x1^2 + x2^3")
-        assert p("x2^3").lt() == a.with_order(DEGREVLEX).lt()
-        assert p("x2^3", order=DEGLEX).lt() == a.with_order(DEGLEX).lt()
-        b = a.with_order(LEX)
-        assert b.lt() == p("x1^2", order=LEX).lt()
-
     def test_degrevlex_tiebreak(self):
         """Same degree: degrevlex prefers the smaller last exponent."""
         a = p("x1*x2 + x2*x3")
         assert a.lt() == p("x1*x2").lt()
-
-    def test_block_order(self):
-        """A block order eliminates the head block first."""
-        order = BlockOrder(1)
-        a = p("x1 + x2^5", order=order)
-        assert a.lt() == p("x1", order=order).lt()
 
 
 def _negkey_reference(k):
@@ -162,38 +147,33 @@ def _negkey_reference(k):
 
 
 class TestNegkey:
-    ORDERS = (DEGREVLEX, DEGLEX, LEX, BlockOrder(2))
-
-    @pytest.mark.parametrize("order", ORDERS, ids=repr)
-    def test_reverses_key(self, order):
-        """negkey(a) < negkey(b) exactly when key(a) > key(b), and negkey is
-        key with every integer negated."""
+    def test_reverses_key(self):
+        """mono_negkey(a) < mono_negkey(b) exactly when mono_key(a) >
+        mono_key(b), and mono_negkey is mono_key with every integer negated."""
         rng = random.Random(41)
         monos = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(60)]
         for a in monos:
-            assert order.negkey(a) == _negkey_reference(order.key(a))
+            assert mono_negkey(a) == _negkey_reference(mono_key(a))
             for b in monos:
-                assert (order.negkey(a) < order.negkey(b)) == (order.key(a) > order.key(b))
+                assert (mono_negkey(a) < mono_negkey(b)) == (mono_key(a) > mono_key(b))
 
-    @pytest.mark.parametrize("order", ORDERS, ids=repr)
-    def test_selection_matches_key(self, order):
+    def test_selection_matches_key(self):
         """lt(), terms and the module engine's leading term, all selected by
-        negkey, are the max and the descending sort by key."""
+        negated keys, are the max and the descending sort by mono_key."""
         rng = random.Random(43)
         V4 = VarTable(("x1", "x2", "x3", "x4"))
-        negf = _mv_negkey(order)
         for _ in range(40):
-            f = random_poly(rng, V4, max_deg=5, terms=7).with_order(order)
+            f = random_poly(rng, V4, max_deg=5, terms=7)
             if f:
-                top = max(f.coeffs, key=order.key)
+                top = max(f.coeffs, key=mono_key)
                 assert f.lt() == (f.coeffs[top], top)
-                assert [m for _, m in f.terms] == sorted(f.coeffs, key=order.key, reverse=True)
+                assert [m for _, m in f.terms] == sorted(f.coeffs, key=mono_key, reverse=True)
             vec = {(pos, m): c
                    for pos in rng.sample(range(3), rng.randint(1, 3))
                    for m, c in random_poly(rng, V4, max_deg=5, terms=5).coeffs.items()}
             if vec:
-                top = max(vec, key=lambda t: (-t[0], order.key(t[1])))
-                assert _mv_lt(vec, negf) == (top, vec[top])
+                top = max(vec, key=lambda t: (-t[0], mono_key(t[1])))
+                assert _mv_lt(vec) == (top, vec[top])
 
 
 class TestParsing:

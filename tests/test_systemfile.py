@@ -44,7 +44,6 @@ class TestBasicGrammar:
         assert parsed.source_vars.names == ("x1", "x2")
         assert parsed.immersion is None
         assert [str(c) for c in parsed.system.inputs[1].components] == ["0", "x1^2"]
-        assert parsed.options["order"] == "degrevlex"
         assert parsed.options["seed"] == 0
 
     def test_drift_optional(self):
@@ -94,25 +93,33 @@ class TestBasicGrammar:
 class TestOptions:
     def test_parsed(self):
         """All option keys round through."""
-        text = ("vars x1\ninput g: x1\noptions:\n  order lex\n  max-depth 9\n"
+        text = ("vars x1\ninput g: x1\noptions:\n  max-depth 9\n"
                 "  seed 4\n  mode strong\n  rank-threshold 1\n")
         opts = parse_file(text).options
-        assert opts == {"order": "lex", "max-depth": 9, "seed": 4,
-                        "mode": "strong", "rank-threshold": 1}
+        assert opts == {"max-depth": 9, "seed": 4, "mode": "strong", "rank-threshold": 1}
+
+    def test_no_order_option(self):
+        """There is no order option: degrevlex is the only monomial order,
+        and an order line is an unknown option at its position."""
+        text = "vars x1\ninput g: x1\noptions:\n  seed 4\n  order lex\n"
+        with pytest.raises(ParseError, match="unknown option 'order'") as err:
+            parse_file(text)
+        assert (err.value.line, err.value.col) == (5, 1)
+        assert "order" not in parse_file("vars x1\ninput g: x1\n").options
 
     def test_bad_values(self):
         """Bad option values are positioned errors."""
-        for line in ("order foo", "mode foo", "max-depth 0", "seed x",
+        for line in ("mode foo", "max-depth 0", "seed x",
                      "rank-threshold -2", "bogus 3"):
             with pytest.raises(ParseError):
                 parse_file(f"vars x1\ninput g: x1\noptions:\n  {line}\n")
 
     def test_overrides_win(self):
         """CLI overrides replace file options; None leaves them alone."""
-        text = "vars x1\ninput g: x1\noptions:\n  seed 4\n"
-        opts = parse_file(text, overrides={"seed": 7, "order": None}).options
+        text = "vars x1\ninput g: x1\noptions:\n  seed 4\n  mode strong\n"
+        opts = parse_file(text, overrides={"seed": 7, "mode": None}).options
         assert opts["seed"] == 7
-        assert opts["order"] == "degrevlex"
+        assert opts["mode"] == "strong"
 
     def test_overrides_checked(self):
         """Overrides get the file options' checks: a non-positive max-depth

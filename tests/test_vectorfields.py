@@ -6,7 +6,6 @@ import pytest
 import sympy
 
 from polyaccess import (
-    DEGREVLEX,
     Polynomial,
     SystemSpec,
     VarTable,
@@ -74,7 +73,7 @@ class TestLieDerivative:
 
 def _lie_derivative_reference(field, q):
     """sum_i dq/dx_i * field_i by polynomial arithmetic, term by term."""
-    total = Polynomial.zero(q.vars, q.order)
+    total = Polynomial.zero(q.vars)
     for i, comp in enumerate(field.components):
         total = total + q.partial_derivative(i) * comp
     return total
@@ -92,7 +91,6 @@ class TestLieBracket:
             for fj, gj, b in zip(f, g, fg):
                 assert b == lie_derivative(f, gj) - lie_derivative(g, fj)
                 assert b == _lie_derivative_reference(f, gj) - _lie_derivative_reference(g, fj)
-                assert b.order == gj.order
             for q in list(f) + list(g):
                 assert lie_derivative(g, q) == _lie_derivative_reference(g, q)
 
