@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import polyaccess.analysis
+import polyaccess.cli
 import polyaccess.modules
-from polyaccess import Polynomial
+from polyaccess import Polynomial, VarTable, parse_polynomial
 from polyaccess.cli import main
+from polyaccess.immersion import VerifyResult
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "demos" / "systems"
 
@@ -116,6 +118,56 @@ class TestTextOutput:
         assert "== index ==" in out
         assert "== bound ==" in out
         assert "== strong ==" in out
+
+
+class TestTextBranches:
+    """Text lines that no golden file reaches."""
+
+    def test_verification_failed(self, unicycle_file, capsys, monkeypatch):
+        """A failing verification names its witness, prints no certificate
+        even under --check, and the document carries the failure."""
+        residue = parse_polynomial("2*z4*z5", VarTable(["z4", "z5"]))
+        failing = VerifyResult(False, "tangency", 0, "g1", residue)
+        monkeypatch.setattr(polyaccess.cli, "verify_immersion", lambda asys, imm: failing)
+        assert main(["immerse", "--check", unicycle_file]) == 0
+        out = capsys.readouterr().out
+        assert ("verification: FAILED (tangency check, component 0, field g1, "
+                "residue 2*z4*z5)") in out.splitlines()
+        assert "certificate:" not in out
+        assert main(["immerse", "--check", unicycle_file, "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)["immersion"]
+        assert doc["verified"] is False
+        assert doc["failure"] == {"kind": "tangency", "component": 0, "field": "g1",
+                                  "residue": "2*z4*z5"}
+
+    def test_sampled_emptiness(self, unicycle_file, capsys, monkeypatch):
+        """Emptiness found only by sampling is labelled as not a proof."""
+        original = polyaccess.cli.pull_back_singular
+
+        def sampled(imm, ideal):
+            return original(imm, ideal)._replace(
+                grade="sampled", detail="no sampled image point lies in the singular set")
+
+        monkeypatch.setattr(polyaccess.cli, "pull_back_singular", sampled)
+        assert main(["rank", unicycle_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "  empty: yes (sampled: no sampled image point lies in the singular set)",
+            "  no sampled image point meets the singular set (sampling, not a proof)",
+        ]
+        assert main(["rank", unicycle_file, "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)["pull_back"]
+        assert (doc["empty"], doc["grade"]) == (True, "sampled")
+
+    def test_immerse_without_check(self, unicycle_file, capsys):
+        """Certificates are printed only under --check."""
+        assert main(["immerse", unicycle_file]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().splitlines()[-1].startswith("verification: ok")
+        assert "certificate:" not in out
+        assert main(["immerse", "--check", unicycle_file]) == 0
+        assert "  certificate: L_X(z4^2 + z5^2 - 1) lies in the relation ideal for X in " \
+               "{g1, g2}" in capsys.readouterr().out
 
 
 class TestStructuredOutput:
