@@ -88,7 +88,6 @@ class AnalysisReport(NamedTuple):
     chain_trace: tuple
     threshold: int = None  # minor size for rank-threshold analyses
     planar_depth_bound: int = None  # 6d^2 - 2d + 2 when n = 2
-    capped: bool = False
     notes: tuple = ()
     matrix: object = None  # for sample_check; compared by identity
 

@@ -18,7 +18,7 @@ from .analysis import (
 )
 from .errors import CapReached, ParseError
 from .immersion import pull_back_singular, vanishing_coordinates, verify_immersion
-from .systemfile import entry_text, parse_file
+from .systemfile import immersion_text, parse_file
 
 _INDEX_PHRASE = {
     INDEX_EXACT_R: "r* = {v}",
@@ -65,13 +65,6 @@ def build_arg_parser():
     return ap
 
 
-def _overrides(args):
-    return {
-        "max-depth": args.max_depth,
-        "seed": args.seed,
-    }
-
-
 def _ideal_phrase(gens):
     if not gens:
         return "whole state space"
@@ -79,17 +72,6 @@ def _ideal_phrase(gens):
     if strs == ["1"]:
         return "⟨1⟩ = ∅"
     return "⟨" + ", ".join(strs) + "⟩"
-
-
-def _index_phrase(report):
-    return _INDEX_PHRASE[report.index_kind].format(v=report.index_value)
-
-
-def _headline(report):
-    if report.threshold is not None:
-        return (f"S^{{<{report.threshold}}}: {_ideal_phrase(report.singular_generators())}"
-                f"; {_index_phrase(report)}")
-    return f"{_index_phrase(report)}; S_∞: {_ideal_phrase(report.singular_generators())}"
 
 
 # ChainRecord fields in trace order, each with its text form
@@ -104,43 +86,6 @@ _TRACE_FIELDS = (
 )
 
 
-def _set_fields(rec):
-    """(field, text form, value) of the record's set fields; None and () are
-    unset, 0 is a value."""
-    return [(name, text, getattr(rec, name)) for name, text in _TRACE_FIELDS
-            if getattr(rec, name) not in (None, ())]
-
-
-def _trace_lines(report):
-    return [f"  depth {rec.depth}: " + "; ".join(text(v) for _, text, v in _set_fields(rec))
-            for rec in report.chain_trace]
-
-
-def _report_lines(report, system, verdict_note=None):
-    n = len(system.vars)
-    lines = [_headline(report)]
-    lines.append(f"mode: {report.mode}")
-    lines.append(f"route: {report.route}")
-    lines.append(f"generic rank: {report.generic_rank} of {n}")
-    verdict = report.verdict
-    if verdict_note:
-        verdict += f" ({verdict_note})"
-    lines.append(f"verdict: {verdict}")
-    if report.planar_depth_bound is not None:
-        lines.append(f"planar depth bound: {report.planar_depth_bound}")
-    gens = report.singular_generators()
-    if gens:
-        lines.append("singular set generators:")
-        lines.extend(f"  {g}" for g in gens)
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    trace = _trace_lines(report)
-    if trace:
-        lines.append("chain trace:")
-        lines.extend(trace)
-    return lines
-
-
 def _report_doc(report, system):
     doc = {
         "mode": report.mode,
@@ -151,7 +96,7 @@ def _report_doc(report, system):
         "index_kind": report.index_kind,
         "index_value": report.index_value,
         "singular_generators": [str(g) for g in report.singular_generators()],
-        "capped": report.capped,
+        "capped": False,  # schema 1 field: a capped analysis raises CapReached
     }
     if report.threshold is not None:
         doc["threshold"] = report.threshold
@@ -159,43 +104,48 @@ def _report_doc(report, system):
         doc["planar_depth_bound"] = report.planar_depth_bound
     if report.notes:
         doc["notes"] = list(report.notes)
-    trace = [{"depth": rec.depth,
-              **{name: [str(x) for x in v] if isinstance(v, tuple) else v
-                 for name, _, v in _set_fields(rec)}}
-             for rec in report.chain_trace]
+    trace = []
+    for rec in report.chain_trace:
+        fields = {name: getattr(rec, name) for name, _ in _TRACE_FIELDS}
+        # None and () are unset, 0 is a value
+        trace.append({"depth": rec.depth,
+                      **{name: [str(x) for x in v] if isinstance(v, tuple) else v
+                         for name, v in fields.items() if v not in (None, ())}})
     if trace:
         doc["chain_trace"] = trace
     return doc
 
 
-def _pull_back(parsed, report):
-    pull = pull_back_singular(parsed.immersed, report.singular_ideal)
-    vanish = () if pull.empty else vanishing_coordinates(pull.ideal)
-    return pull, vanish
-
-
-def _pull_back_lines(parsed, report, pull, vanish):
-    lines = ["pull-back to the image variety:"]
-    lines.append(f"  intersection ideal: {_ideal_phrase(pull.ideal.groebner_basis())}")
-    lines.append(f"  empty: {'yes' if pull.empty else 'no'} ({pull.grade}: {pull.detail})")
-    if pull.witness is not None:
-        point = ", ".join(str(c) for c in pull.witness)
-        lines.append(f"  witness image point: ({point})")
-    if vanish:
-        lines.append("  coordinates forced to vanish on it: " + ", ".join(vanish))
-    n_source = len(parsed.source_vars)
-    if report.threshold == n_source:
-        if pull.empty and pull.grade == "algebraic proof":
-            lines.append("  empty intersection with im T; accessible everywhere")
-        elif pull.empty:
-            lines.append("  no sampled image point meets the singular set "
-                         "(sampling, not a proof)")
-        else:
-            lines.append("  the source system has singular points on im T")
+def _report_text(doc, parsed):
+    gens = doc["singular_generators"]
+    index = _INDEX_PHRASE[doc["index_kind"]].format(v=doc["index_value"])
+    if "threshold" in doc:
+        lines = [f"S^{{<{doc['threshold']}}}: {_ideal_phrase(gens)}; {index}"]
+    else:
+        lines = [f"{index}; S_∞: {_ideal_phrase(gens)}"]
+    verdict = doc["verdict"]
+    if "pull_back" in doc:
+        verdict += " (the lifted system; the pull-back below settles the source)"
+    lines += [f"mode: {doc['mode']}", f"route: {doc['route']}",
+              f"generic rank: {doc['generic_rank']} of {doc['state_dimension']}",
+              f"verdict: {verdict}"]
+    if "planar_depth_bound" in doc:
+        lines.append(f"planar depth bound: {doc['planar_depth_bound']}")
+    if gens:
+        lines += ["singular set generators:", *(f"  {g}" for g in gens)]
+    lines += [f"note: {note}" for note in doc.get("notes", ())]
+    if "chain_trace" in doc:
+        lines.append("chain trace:")
+        lines += [f"  depth {rec['depth']}: "
+                  + "; ".join(text(rec[name]) for name, text in _TRACE_FIELDS if name in rec)
+                  for rec in doc["chain_trace"]]
+    if "pull_back" in doc:
+        lines += _pull_back_text(doc["pull_back"], doc["threshold"] == len(parsed.source_vars))
     return lines
 
 
-def _pull_back_doc(pull, vanish):
+def _pull_back_doc(parsed, report):
+    pull = pull_back_singular(parsed.immersed, report.singular_ideal)
     doc = {
         "intersection_generators": [str(g) for g in pull.ideal.groebner_basis()],
         "empty": pull.empty,
@@ -204,46 +154,41 @@ def _pull_back_doc(pull, vanish):
     }
     if pull.witness is not None:
         doc["witness"] = [str(c) for c in pull.witness]
+    vanish = () if pull.empty else vanishing_coordinates(pull.ideal)
     if vanish:
         doc["vanishing_coordinates"] = list(vanish)
     return doc
 
 
-def _immersion_section(parsed, check):
-    """Text lines and document of the immersion, verified once."""
-    imap = parsed.immersion
-    alias = parsed.parse_vars
-    identity = list(range(len(imap.target_vars)))
-    n = len(parsed.source_vars)
-    entries = {imap.target_vars.names[j]: entry_text(imap, j, alias)
-               for j in range(n, len(imap.target_vars))}
-    relations = [r.map_vars(alias, identity) for r in imap.relation_generators()]
+def _pull_back_text(doc, settles_source):
+    """settles_source: the threshold is the source dimension, so the
+    pull-back decides accessibility of the source system."""
+    lines = ["pull-back to the image variety:",
+             f"  intersection ideal: {_ideal_phrase(doc['intersection_generators'])}",
+             f"  empty: {'yes' if doc['empty'] else 'no'} ({doc['grade']}: {doc['detail']})"]
+    if "witness" in doc:
+        lines.append(f"  witness image point: ({', '.join(doc['witness'])})")
+    if "vanishing_coordinates" in doc:
+        lines.append("  coordinates forced to vanish on it: "
+                     + ", ".join(doc["vanishing_coordinates"]))
+    if not settles_source:
+        return lines
+    if not doc["empty"]:
+        return lines + ["  the source system has singular points on im T"]
+    if doc["grade"] == "algebraic proof":
+        return lines + ["  empty intersection with im T; accessible everywhere"]
+    return lines + ["  no sampled image point meets the singular set (sampling, not a proof)"]
+
+
+def _immersion_doc(parsed):
+    """The immersion in the file's names and the lifted system, verified."""
+    entries, relations = immersion_text(parsed)
     sys_ = parsed.system
     result = verify_immersion(parsed.analytic, parsed.immersed)
-    lines = ["immersion:"]
-    lines.append("  targets: " + " ".join(imap.target_vars.names))
-    lines.extend(f"  {name} = {text}" for name, text in entries.items())
-    lines.extend(f"  relation: {rel}" for rel in relations)
-    lines.append("lifted system:")
-    lines.append("  drift: " + ", ".join(str(c) for c in sys_.drift.components))
-    for g in sys_.inputs:
-        lines.append(f"  input {g.label}: " + ", ".join(str(c) for c in g.components))
-    if result.ok:
-        lines.append("verification: ok (fields tangent to the relation variety; "
-                     "pushforward matches the lift)")
-    else:
-        lines.append(f"verification: FAILED ({result.kind} check, component "
-                     f"{result.index}, field {result.field_label}, "
-                     f"residue {result.residue})")
-    if check and result.ok:
-        labels = ", ".join(f.label for f in sys_.operators())
-        for rel in imap.relation_generators():
-            lines.append(f"  certificate: L_X({rel}) lies in the relation ideal "
-                         f"for X in {{{labels}}}")
     doc = {
-        "targets": list(imap.target_vars.names),
+        "targets": list(parsed.immersion.target_vars.names),
         "entries": entries,
-        "relations": [str(r) for r in relations],
+        "relations": relations,
         "lifted_drift": [str(c) for c in sys_.drift.components],
         "lifted_inputs": {g.label: [str(c) for c in g.components] for g in sys_.inputs},
         "verified": result.ok,
@@ -255,7 +200,27 @@ def _immersion_section(parsed, check):
             "field": result.field_label,
             "residue": str(result.residue),
         }
-    return lines, doc
+    return doc
+
+
+def _immersion_text(doc, parsed, check):
+    lines = ["immersion:", "  targets: " + " ".join(doc["targets"])]
+    lines += [f"  {name} = {rhs}" for name, rhs in doc["entries"].items()]
+    lines += [f"  relation: {rel}" for rel in doc["relations"]]
+    lines += ["lifted system:", "  drift: " + ", ".join(doc["lifted_drift"])]
+    lines += [f"  input {label}: " + ", ".join(comps)
+              for label, comps in doc["lifted_inputs"].items()]
+    if not doc["verified"]:
+        f = doc["failure"]
+        return lines + [f"verification: FAILED ({f['kind']} check, component "
+                        f"{f['component']}, field {f['field']}, residue {f['residue']})"]
+    lines.append("verification: ok (fields tangent to the relation variety; "
+                 "pushforward matches the lift)")
+    if check:
+        labels = ", ".join(f.label for f in parsed.system.operators())
+        lines += [f"  certificate: L_X({rel}) lies in the relation ideal for X in {{{labels}}}"
+                  for rel in parsed.immersion.relation_generators()]
+    return lines
 
 
 def _rank_threshold(parsed, args):
@@ -267,21 +232,12 @@ def _rank_threshold(parsed, args):
     return l
 
 
-def _report_section(report, system, verdict_note=None):
-    return _report_lines(report, system, verdict_note), _report_doc(report, system)
-
-
-def _rank_section(parsed, session, l):
+def _rank_doc(parsed, session, l):
     report = session.rank_l(parsed.options["mode"], l)
-    if parsed.immersed is None:
-        return _report_section(report, parsed.system)
-    lines, doc = _report_section(
-        report, parsed.system,
-        "the lifted system; the pull-back below settles the source")
-    pull, vanish = _pull_back(parsed, report)
-    lines.extend(_pull_back_lines(parsed, report, pull, vanish))
-    doc["pull_back"] = _pull_back_doc(pull, vanish)
-    return lines, doc
+    doc = _report_doc(report, parsed.system)
+    if parsed.immersed is not None:
+        doc["pull_back"] = _pull_back_doc(parsed, report)
+    return doc
 
 
 _ROUTES = {
@@ -293,7 +249,7 @@ _ROUTES = {
 
 
 def _run_command(parsed, args):
-    """Returns (text_lines, doc); every analysis of the run shares one
+    """The run's structured document; every analysis of the run shares one
     session.  Raises CapReached when a depth cap stops the analysis before
     any result."""
     opts = parsed.options
@@ -301,45 +257,42 @@ def _run_command(parsed, args):
     command = args.command
     doc = {"schema": 1, "command": command, "system": parsed.name}
     if command in _ROUTES:
-        report = _ROUTES[command](session, opts["mode"])
-        lines, rdoc = _report_section(report, parsed.system)
-        return lines, {**doc, **rdoc}
+        return {**doc, **_report_doc(_ROUTES[command](session, opts["mode"]), parsed.system)}
     if command == "rank":
         l = _rank_threshold(parsed, args)
         if l is None:
             raise ParseError("rank needs a threshold: pass --l or set the "
                              "rank-threshold option", 1, 1)
-        lines, rdoc = _rank_section(parsed, session, l)
-        return lines, {**doc, **rdoc}
+        return {**doc, **_rank_doc(parsed, session, l)}
     if command == "immerse":
         if parsed.immersion is None:
             raise ParseError("the file declares no immersion block", 1, 1)
-        lines, doc["immersion"] = _immersion_section(parsed, args.check)
-        return lines, doc
-    if command == "full":
-        return _run_full(parsed, args, session, doc)
-    raise AssertionError(command)
-
-
-def _run_full(parsed, args, session, doc):
-    """The immersion, then the index, bound, strong and rank sections."""
-    lines = []
+        return {**doc, "immersion": _immersion_doc(parsed)}
+    # full: the immersion, then the index, bound, strong and rank sections
     if parsed.immersion is not None:
-        ilines, doc["immersion"] = _immersion_section(parsed, check=False)
-        lines.extend(ilines + [""])
-    mode = parsed.options["mode"]
-    sections = [(key, key, _report_section(_ROUTES[key](session, mode), parsed.system))
-                for key in ("index", "bound", "strong")]
+        doc["immersion"] = _immersion_doc(parsed)
+    for key in ("index", "bound", "strong"):
+        doc[key] = _report_doc(_ROUTES[key](session, opts["mode"]), parsed.system)
     l = _rank_threshold(parsed, args)
     if l is not None:
-        sections.append((f"rank {l}", "rank", _rank_section(parsed, session, l)))
-    for i, (title, key, (slines, sdoc)) in enumerate(sections):
-        if i:
-            lines.append("")
-        lines.append(f"== {title} ==")
-        lines.extend(slines)
-        doc[key] = sdoc
-    return lines, doc
+        doc["rank"] = _rank_doc(parsed, session, l)
+    return doc
+
+
+def _text(doc, parsed, args):
+    """The text form of the document; parsed gives the source dimension and
+    the --check certificates, which the document does not hold."""
+    command = doc["command"]
+    if command == "immerse":
+        return "\n".join(_immersion_text(doc["immersion"], parsed, args.check))
+    if command != "full":
+        return "\n".join(_report_text(doc, parsed))
+    blocks = [_immersion_text(doc["immersion"], parsed, False)] if "immersion" in doc else []
+    for key in ("index", "bound", "strong", "rank"):
+        if key in doc:
+            title = f"rank {doc[key]['threshold']}" if key == "rank" else key
+            blocks.append([f"== {title} ==", *_report_text(doc[key], parsed)])
+    return "\n\n".join("\n".join(block) for block in blocks)
 
 
 def main(argv=None):
@@ -349,15 +302,11 @@ def main(argv=None):
     except OSError as e:
         print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
         return 2
-    name = Path(args.file).stem
     try:
-        parsed = parse_file(text, name=name, overrides=_overrides(args))
+        parsed = parse_file(text, name=Path(args.file).stem,
+                            overrides={"max-depth": args.max_depth, "seed": args.seed})
+        doc = _run_command(parsed, args)
     except ValueError as e:  # ParseError and ClosureError included
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        lines, doc = _run_command(parsed, args)
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapReached as e:
@@ -372,7 +321,7 @@ def main(argv=None):
     if args.format == "structured":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print(_text(doc, parsed, args))
     return 0
 
 

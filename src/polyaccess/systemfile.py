@@ -43,6 +43,12 @@ class ParsedFile(NamedTuple):
         return VarTable(self.source_vars.names + self.immersion.target_vars.names[n:])
 
 
+def _retag(p, table):
+    """The same polynomial over a table of the same length: the names
+    change, the slots do not."""
+    return Polynomial(table, p.coeffs, _clean=False)
+
+
 def _strip_comment(raw):
     return raw.split("#", 1)[0].rstrip()
 
@@ -186,7 +192,6 @@ def _lookup_hooks(entries, source_vars, aliased, target_vars):
     declared entries; `entries` may still be growing while parsing the
     immersion block itself."""
     n = len(source_vars)
-    identity = list(range(len(target_vars)))
 
     def resolve_call(fname, arg, line, col):
         if fname not in ("sin", "cos"):
@@ -204,7 +209,7 @@ def _lookup_hooks(entries, source_vars, aliased, target_vars):
         )
 
     def resolve_division(num, den, line, col):
-        den_t = den.map_vars(target_vars, identity)
+        den_t = _retag(den, target_vars)
         for j, e in enumerate(entries):
             if e.kind == "reciprocal" and e.expr == den_t:
                 return num * Polynomial.variable(aliased, j)
@@ -219,8 +224,6 @@ def _lookup_hooks(entries, source_vars, aliased, target_vars):
 def _parse_entry_rhs(rhs, lineno, col, source_vars, aliased, target_vars, hooks):
     s = rhs.strip()
     col += len(rhs) - len(rhs.lstrip())
-    n = len(source_vars)
-    identity = list(range(len(target_vars)))
     if (s.startswith("sin(") or s.startswith("cos(")) and s.endswith(")"):
         inner = s[4:-1].strip()
         if inner not in source_vars:
@@ -233,9 +236,9 @@ def _parse_entry_rhs(rhs, lineno, col, source_vars, aliased, target_vars, hooks)
         den = parse_polynomial(after, aliased, line=lineno,
                                col=col + s.index("/") + 1,
                                resolve_call=hooks[0], resolve_division=hooks[1])
-        return Entry("reciprocal", expr=den.map_vars(target_vars, identity))
+        return Entry("reciprocal", expr=_retag(den, target_vars))
     p = parse_polynomial(s, source_vars, line=lineno, col=col)
-    return Entry("polynomial", expr=p.map_vars(target_vars, identity[:n]))
+    return Entry("polynomial", expr=p.map_vars(target_vars, range(len(source_vars))))
 
 
 def _parse_immersion(block, source_vars):
@@ -297,10 +300,9 @@ def _parse_immersion(block, source_vars):
     except ValueError as e:
         raise ParseError(str(e), t_line, 1) from None
     relations = imap.relation_ideal()
-    identity = list(range(nstar))
     for lineno, col, text in relation_lines:
         rel = parse_polynomial(text, aliased, line=lineno, col=col)
-        if not relations.normal_form(rel.map_vars(imap.target_vars, identity)).is_zero():
+        if not relations.normal_form(_retag(rel, imap.target_vars)).is_zero():
             raise ParseError(
                 "relation does not follow from the declared entries", lineno, col,
             )
@@ -354,8 +356,7 @@ def parse_file(text, name=None, overrides=None):
             for chunk, ccol in parts
         ]
         if imap is not None:
-            identity = list(range(len(imap.target_vars)))
-            comps = [c.map_vars(imap.target_vars, identity) for c in comps]
+            comps = [_retag(c, imap.target_vars) for c in comps]
         return comps
 
     field_vars = imap.target_vars if imap is not None else source_vars
@@ -385,50 +386,39 @@ def parse_file(text, name=None, overrides=None):
                       immersion=imap, analytic=analytic, immersed=immersed)
 
 
-def entry_text(imap, j, alias):
-    """Right-hand side of target j's entry, written over the aliased names."""
-    e = imap.entries[j]
-    if e.kind in ("sin", "cos"):
-        return f"{e.kind}({imap.source_vars.names[e.arg]})"
-    identity = list(range(len(imap.target_vars)))
-    if e.kind == "reciprocal":
-        return f"1/({e.expr.map_vars(alias, identity)})"
-    return str(e.expr.map_vars(alias, identity))
+def immersion_text(parsed):
+    """The immersion's entries (target name -> right-hand side) and its
+    relations, written over the file's names."""
+    imap = parsed.immersion
+    alias = parsed.parse_vars
+    n = len(parsed.source_vars)
+    entries = {}
+    for name, e in zip(imap.target_vars.names[n:], imap.entries[n:]):
+        if e.kind in ("sin", "cos"):
+            entries[name] = f"{e.kind}({imap.source_vars.names[e.arg]})"
+        elif e.kind == "reciprocal":
+            entries[name] = f"1/({_retag(e.expr, alias)})"
+        else:
+            entries[name] = str(_retag(e.expr, alias))
+    relations = [str(_retag(r, alias)) for r in imap.relation_generators()]
+    return entries, relations
 
 
 def render_file(parsed):
     """Canonical text form; parsing it back yields an equivalent file."""
-    out = []
-    src = parsed.source_vars
-    out.append("vars " + " ".join(src.names))
     alias = parsed.parse_vars
+    fields = parsed.system if parsed.immersion is None else parsed.analytic
+
+    def comps(field):
+        return ", ".join(str(_retag(c, alias)) for c in field.components)
+
+    out = ["vars " + " ".join(parsed.source_vars.names), "drift: " + comps(fields.drift)]
+    out += [f"input {g.label}: " + comps(g) for g in fields.inputs]
     if parsed.immersion is not None:
-        identity = list(range(len(alias)))
-        drift = parsed.analytic.drift
-        inputs = parsed.analytic.inputs
-
-        def comp(p):
-            return str(p.map_vars(alias, identity))
-    else:
-        drift = parsed.system.drift
-        inputs = parsed.system.inputs
-
-        def comp(p):
-            return str(p)
-
-    out.append("drift: " + ", ".join(comp(c) for c in drift.components))
-    for g in inputs:
-        out.append(f"input {g.label}: " + ", ".join(comp(c) for c in g.components))
-    if parsed.immersion is not None:
-        imap = parsed.immersion
-        identity = list(range(len(alias)))
-        out.append("immersion:")
-        out.append("  targets " + " ".join(imap.target_vars.names))
-        n = len(src)
-        for j in range(n, len(imap.target_vars)):
-            out.append(f"  {imap.target_vars.names[j]} = {entry_text(imap, j, alias)}")
-        for rel in imap.relation_generators():
-            out.append(f"  relation: {rel.map_vars(alias, identity)}")
+        entries, relations = immersion_text(parsed)
+        out += ["immersion:", "  targets " + " ".join(parsed.immersion.target_vars.names)]
+        out += [f"  {name} = {rhs}" for name, rhs in entries.items()]
+        out += [f"  relation: {rel}" for rel in relations]
     extras = {k: v for k, v in parsed.options.items() if v != DEFAULTS[k]}
     if extras:
         out.append("options:")

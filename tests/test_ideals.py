@@ -1,11 +1,13 @@
 """Ideal engine: Groebner bases, membership, radicals, invariance."""
 
+import itertools
 import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from sympy.solvers.simplex import InfeasibleLPError, linprog
 
 from polyaccess import (
     Ideal,
@@ -22,7 +24,11 @@ from polyaccess import (
     radical_monomial,
     real_radical_restricted,
 )
-from polyaccess.ideals import buchberger
+from polyaccess.ideals import (
+    _even_power_certificate,
+    _structural_real_radical_shape,
+    buchberger,
+)
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -254,6 +260,116 @@ class TestRadicalOracle:
         assert in_radical(member, I)
         assert in_radical(member, I) == rabinowitsch(member, gens, syms)
         assert in_radical(probe, I) == rabinowitsch(probe, gens, syms)
+
+
+@st.composite
+def planted_factors(draw, V):
+    """A planted square or affine-linear factor, a variable power (monomial
+    content), a combination of even monomials (mostly positive), or any
+    small polynomial."""
+    n = len(V)
+    kind = draw(st.sampled_from(("square", "affine", "content", "even", "any")))
+    if kind in ("square", "affine"):
+        linear = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        terms = {tuple(int(k == i) for k in range(n)): Q(c) for i, c in enumerate(linear)}
+        a = Polynomial(V, {**terms, (0,) * n: Q(draw(st.integers(-3, 3)))})
+        return a * a if kind == "square" else a
+    if kind == "content":
+        mono = [0] * n
+        mono[draw(st.integers(0, n - 1))] = draw(st.integers(1, 3))
+        return Polynomial(V, {tuple(mono): Q(1)})
+    if kind == "even":
+        mono = st.tuples(*[st.sampled_from((0, 2))] * n)
+        terms = draw(st.dictionaries(mono, st.sampled_from((1, 2, 3, -1)),
+                                     min_size=1, max_size=2))
+        return Polynomial(V, {m: Q(c) for m, c in terms.items()})
+    return draw(small_polys(V))
+
+
+@st.composite
+def real_radical_cases(draw):
+    """One to three generators over 2-3 variables, each a product of one
+    or two planted factors."""
+    V = VarTable(("x1", "x2", "x3")[:draw(st.integers(2, 3))])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = Polynomial.constant(V, 1)
+        for f in draw(st.lists(planted_factors(V), min_size=1, max_size=2)):
+            g = g * f
+        gens.append(g)
+    return V, gens
+
+
+def _positive_even(expr, syms):
+    """expr is zero or a positive combination of even monomials."""
+    return expr == 0 or all(c > 0 and not any(e % 2 for e in m)
+                            for m, c in sympy.Poly(expr, *syms).terms())
+
+
+def even_power_by_reduction(r, G, syms):
+    """Some r^(2m), m <= 3, reduces modulo the sympy basis G to minus a
+    positive combination of even monomials."""
+    return any(_positive_even(-G.reduce(to_sympy(r, syms) ** (2 * m))[1], syms)
+               for m in (1, 2, 3))
+
+
+def even_power_by_lp(r, G, syms, top):
+    """r^(2m) + P lies in the ideal of G for some m <= 3 and some
+    nonnegative combination P of even monomials of degree at most
+    2m*deg(r) + top: an exact linear program on normal forms, for
+    identities whose P is not itself in normal form."""
+    for m in (1, 2, 3):
+        half = (2 * m * r.total_degree() + top) // 2
+        evens = [h for h in itertools.product(range(half + 1), repeat=len(syms))
+                 if sum(h) <= half]
+        cols = [sympy.Poly(G.reduce(sympy.prod(s ** (2 * e) for s, e in zip(syms, h)))[1],
+                           *syms).as_dict() for h in evens]
+        target = sympy.Poly(G.reduce(to_sympy(r, syms) ** (2 * m))[1], *syms).as_dict()
+        monos = sorted(set(target).union(*cols))
+        A = sympy.Matrix([[c.get(mono, 0) for c in cols] for mono in monos])
+        b = sympy.Matrix([-target.get(mono, 0) for mono in monos])
+        try:
+            # each equation as two inequalities: sympy 1.14's linprog fails
+            # when given equations alone
+            linprog([0] * len(cols), A=A.col_join(-A), b=b.col_join(-b))
+            return True
+        except InfeasibleLPError:
+            pass
+    return False
+
+
+class TestRealRadicalOracle:
+    @settings(max_examples=60)
+    @given(real_radical_cases())
+    @example((V2, [p("x1^2 - x2^2")]))  # even exponents, mixed signs: Unsupported
+    @example((V2, [p("x1*x2^2 + x1")]))  # <x1>, by x1^2 + x1^2*x2^2 in I
+    def test_returned_ideal_is_certified(self, case):
+        """The even-power certificate agrees with sympy's reduction on the
+        variables and on J's generators.  A returned J contains I, has the
+        certified shape when I has several basis elements, and each of its
+        generators passes Rabinowitsch or an even-power identity checked in
+        sympy.  Unsupported claims nothing and is only counted."""
+        V, gens = case
+        I = Ideal(V, gens)
+        J = real_radical_restricted(I)
+        syms = sympy.symbols(" ".join(V.names))
+        G = sympy.groebner([to_sympy(g, syms) for g in gens], *syms, order="grevlex",
+                           domain=sympy.QQ)
+        supported = isinstance(J, Ideal)
+        event("ideal" if supported else "Unsupported")
+        basis = list(J.groebner_basis()) if supported else []
+        for r in [Polynomial.variable(V, i) for i in range(len(V))] + basis:
+            assert _even_power_certificate(r, I) == even_power_by_reduction(r, G, syms)
+        if not supported:
+            return
+        assert all(J.member(g) for g in gens)
+        if len(I.groebner_basis()) > 1:
+            # a principal ideal's real radical is an intersection, not of this shape
+            assert _structural_real_radical_shape(J.groebner_basis())
+        top = max(g.total_degree() for g in gens)
+        for r in basis:
+            assert (rabinowitsch(r, gens, syms) or even_power_by_reduction(r, G, syms)
+                    or even_power_by_lp(r, G, syms, top)), r
 
 
 class TestIdealOps:
