@@ -4,11 +4,12 @@ rank."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from math import lcm, prod
 from random import Random
 from typing import NamedTuple
 
-from .poly import Polynomial, mono_key
+from .poly import mono_key
 from .rationals import Q
 from .ideals import Ideal
 from .modules import PolySubmodule
@@ -113,15 +114,18 @@ def minor_ideal(matrix, size):
     n, m = matrix.nrows, matrix.ncols
     if size < 1 or size > min(n, m):
         raise ValueError(f"no {size}x{size} minors in a {n}x{m} matrix")
-    first = matrix.entries[0][0]
-    root = {(): Polynomial.constant(first.vars, 1)}
     gens = []
     seen = set()
-    for d in _leaf_minors(matrix.entries, root, -1, size):
-        d = d.monic()
-        if d not in seen:
-            seen.add(d)
-            gens.append(d)
+    for r, row in enumerate(matrix.entries[:n - size + 1]):
+        # the prefix tree starts at the 1 x 1 minors, the nonzero entries
+        ones = {(c,): e for c, e in enumerate(row) if e}
+        if not ones:
+            continue
+        for d in _leaf_minors(matrix.entries, ones, r, size):
+            d = d.monic()
+            if d not in seen:
+                seen.add(d)
+                gens.append(d)
     gens.sort(key=lambda g: mono_key(g.leading_monomial()), reverse=True)
     return Ideal(matrix.vars, gens)
 
@@ -173,24 +177,33 @@ def _integer_entries(matrix):
     return rows
 
 
+@lru_cache(maxsize=1 << 8)
+def _sample_points(seed, nvars, samples):
+    """generic_rank's sample points: samples points of nvars integers in
+    [-1000, 1000], drawn in order from Random(seed)."""
+    rng = Random(seed)
+    return tuple(tuple(rng.randint(-1000, 1000) for _ in range(nvars))
+                 for _ in range(samples))
+
+
 def generic_rank(matrix, seed=0, samples=5, module=None):
     """Exact maximal rank of the matrix over all real points.
 
     Random integer points in [-1000, 1000] give a fast lower bound with a
-    witness; the matrix is scaled to integer coefficients once, column by
-    column, and sampled in integers.  Below full size the value is certified as the rank over Q(x),
-    read off a Groebner basis of the column module.  A caller that already
-    holds a PolySubmodule spanned by exactly the matrix columns (a chain
-    depth's module) passes it as module, and its cached basis is used.
+    witness; they are drawn once per seed, variable count and sample count.
+    The matrix is scaled to integer coefficients once, column by column, and
+    sampled in integers.  Below full size the value is certified as the rank
+    over Q(x), read off a Groebner basis of the column module.  A caller
+    that already holds a PolySubmodule spanned by exactly the matrix columns
+    (a chain depth's module) passes it as module, and its cached basis is
+    used.
     """
     n, m = matrix.nrows, matrix.ncols
     cap = min(n, m)
-    rng = Random(seed)
     entries = _integer_entries(matrix)
     best = 0
     witness = None
-    for _ in range(samples):
-        point = [rng.randint(-1000, 1000) for _ in range(len(matrix.vars))]
+    for point in _sample_points(seed, len(matrix.vars), samples):
         r = rational_rank([[sum(c * prod(map(pow, point, mono)) for mono, c in e)
                             for e in row] for row in entries])
         if r > best:

@@ -183,7 +183,16 @@ def module_buchberger(gens, dim, basis=()):
     the smallest lcm goes first, so the last position's pairs precede the
     others.  Each output element has its leading term as its first key, and
     the elements of basis must too.
+
+    One nonzero vector and no basis is its own reduced basis once monic:
+    it has no S-pairs, and no tail term is a multiple of its leading term,
+    which is larger than each of them.  It is returned with its terms in
+    descending order, as the general path returns it.
     """
+    gens = [d for d in gens if d]
+    if len(gens) == 1 and not basis:
+        d = _mv_monic(gens[0])
+        return ({t: d[t] for t in sorted(d, key=_mv_negkey)},)
     G = []  # every element ever added; retired ones stay for the pair indices
     lms = []
     active = {}  # position -> indices of G still in the basis
@@ -208,7 +217,7 @@ def module_buchberger(gens, dim, basis=()):
         active.setdefault(pos, []).append(len(G) - 1)
         reducers.setdefault(pos, []).append((lm, d))
     # ascending leading terms; reverse=True keeps ties in input order
-    for d in sorted(filter(None, gens), key=lambda d: _mv_negkey(_mv_lt(d)[0]), reverse=True):
+    for d in sorted(gens, key=lambda d: _mv_negkey(_mv_lt(d)[0]), reverse=True):
         h = _mv_reduce(d, reducers)
         if h:
             insert(h)

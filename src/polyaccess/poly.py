@@ -10,7 +10,7 @@ form is canonical.
 from __future__ import annotations
 
 import re
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import count, zip_longest
 from math import gcd, isqrt, lcm, prod
 from operator import add, le, sub
@@ -656,18 +656,71 @@ def _umul(a, b, P):
     return [c % P for c in out]
 
 
+def _line(i):
+    """Point and direction of variable i on the line of the squarefree
+    certificate: x_i = a + b*t."""
+    return _point(i, 0), _point(i, 1)
+
+
+@lru_cache(maxsize=1 << 12)
+def _monomial_on_line(mono):
+    """Dense coefficients mod _prime(0), constant term first, of the
+    monomial mono on the certificate line x_i = a_i + b_i*t (_line)."""
+    i = max((i for i, e in enumerate(mono) if e), default=None)
+    if i is None:
+        return (1,)
+    a, b = _line(i)
+    rest = _monomial_on_line(mono[:i] + (mono[i] - 1,) + mono[i + 1:])
+    P = _prime(0)
+    return tuple((a * x + b * y) % P for x, y in zip(rest + (0,), (0,) + rest))
+
+
+def _squarefree_by_image(p):
+    """True when the image of p on the certificate line mod _prime(0) keeps
+    the total degree of p and is coprime to its t-derivative, which proves
+    p squarefree (see squarefree_part).  False decides nothing."""
+    P = _prime(0)
+    den = lcm(*(c.denominator for c in p.coeffs.values()))
+    h = [0] * (p.total_degree() + 1)
+    for m, c in p.coeffs.items():
+        c = int(c.numerator) * (den // int(c.denominator))
+        for k, v in enumerate(_monomial_on_line(m)):
+            h[k] += c * v
+    h = [v % P for v in h]
+    if not h[-1]:
+        return False
+    # the derivative leads with D*h[D], D the total degree: nonzero mod P
+    # since 0 < D < P
+    dh = [k * c % P for k, c in enumerate(h)][1:]
+    return len(_ugcd(h, dh, P)) == 1
+
+
 def squarefree_part(p):
     """Monic product of the distinct irreducible factors of p (p nonzero).
 
-    p divided by gcd(p, dp/dx_1, ..., dp/dx_n), taken one partial derivative
-    at a time with poly_gcd and stopped at the first constant gcd.  Every
-    non-constant gcd is certified by trial division, and a squarefree p
-    ends on a pair that univariate images prove coprime.
+    A non-constant p is first tried on one fixed line x = a + b*t modulo the
+    prime P = _prime(0) (_squarefree_by_image).  Say p = f^2*g over Q with
+    f not constant.  Scaled to integer coefficients, p is A = c*f^2*g with
+    c an integer and f, g primitive over Z (Gauss's lemma).  A's leading
+    form, its homogeneous part of top degree D, is c times the product of
+    those of f^2 and g, and its value at b is the t^D coefficient of
+    A(a + b*t).  So if the image A(a + b*t) mod P keeps degree D, f's
+    leading form is nonzero at b mod P, the image of f is not constant, and
+    its square divides the image of A, which then shares a factor with its
+    t-derivative.  An image of degree D coprime to its derivative therefore
+    proves p squarefree, and p.monic() is the answer.
+
+    Otherwise p is divided by gcd(p, dp/dx_1, ..., dp/dx_n), taken one
+    partial derivative at a time with poly_gcd and stopped at the first
+    constant gcd.  Every non-constant gcd is certified by trial division,
+    and a squarefree p ends on a pair that univariate images prove coprime.
     """
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial is undefined")
     if p.is_constant():
         return Polynomial.constant(p.vars, 1)
+    if _squarefree_by_image(p):
+        return p.monic()
     d = p
     for i in p.variables_present():
         if d.is_constant():

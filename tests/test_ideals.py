@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy.solvers.simplex import InfeasibleLPError, linprog
 
 from polyaccess import (
+    CapReached,
     Ideal,
     Polynomial,
     Unsupported,
@@ -370,6 +371,77 @@ class TestRealRadicalOracle:
         for r in basis:
             assert (rabinowitsch(r, gens, syms) or even_power_by_reduction(r, G, syms)
                     or even_power_by_lp(r, G, syms, top)), r
+
+
+@st.composite
+def closure_cases(draw):
+    """One or two planted generators over 2-3 variables (planted_factors),
+    and one or two fields whose components are each a constant (zero
+    included), a variable plus a constant, or a product of two variables,
+    so that most closures end within a few rounds."""
+    V = VarTable(("x1", "x2", "x3")[:draw(st.integers(2, 3))])
+    n = len(V)
+    gens = draw(st.lists(planted_factors(V), min_size=1, max_size=2))
+    variable = st.integers(0, n - 1).map(lambda i: Polynomial.variable(V, i))
+    constant = st.integers(-2, 2).map(lambda c: Polynomial.constant(V, c))
+    component = st.one_of(
+        constant,
+        st.tuples(variable, constant).map(sum),
+        st.tuples(variable, variable).map(lambda xy: xy[0] * xy[1]),
+    )
+    fields = [VectorField(draw(st.lists(component, min_size=n, max_size=n)), f"g{j + 1}")
+              for j in range(draw(st.integers(1, 2)))]
+    return V, gens, fields
+
+
+def lie_sympy(X, g, syms):
+    """L_X g in sympy, for a field X of ours and a sympy expression g."""
+    return sympy.expand(sum(to_sympy(c, syms) * sympy.diff(g, s)
+                            for c, s in zip(X.components, syms)))
+
+
+def from_sympy(expr, V, syms):
+    poly = sympy.Poly(expr, *syms, domain=sympy.QQ)
+    return Polynomial(V, {m: Q(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
+class TestClosureOracle:
+    @settings(max_examples=40)
+    @given(closure_cases())
+    @example((V2, [p("x1")], [VectorField([p("x2"), p("0")], "g1"),
+                              VectorField([p("0"), p("x1^2")], "g2")]))  # planar: 1 round
+    def test_rounds_match_sympy(self, case):
+        """The closure contains its input, and each of its basis elements
+        has every L_X g in the ideal, by sympy's reduction.  Every generator
+        added in a round is the monic normal form, modulo the ideal before
+        that round, of some L_X g with g in that ideal's basis or added in
+        the round before (the input, for round 1)."""
+        V, gens, fields = case
+        try:
+            result = invariant_closure(Ideal(V, gens), fields, max_rounds=6)
+        except CapReached:
+            event("capped")
+            return
+        event(f"{len(result.rounds)} rounds")
+        syms = sympy.symbols(" ".join(V.names))
+
+        def basis(polys):
+            return sympy.groebner([to_sympy(g, syms) for g in polys], *syms,
+                                  order="grevlex", domain=sympy.QQ)
+
+        final = basis(result.ideal.groebner_basis())
+        assert all(final.contains(to_sympy(g, syms)) for g in gens)
+        for g in final.exprs:
+            for X in fields:
+                assert final.reduce(lie_sympy(X, g, syms))[1] == 0, (g, X.label)
+        before, last = list(gens), list(gens)
+        for added in result.rounds:
+            G = basis(before)
+            nfs = {from_sympy(G.reduce(lie_sympy(X, g, syms))[1], V, syms).monic()
+                   for g in list(G.exprs) + [to_sympy(h, syms) for h in last]
+                   for X in fields}
+            assert added and set(added) <= nfs - {Polynomial.zero(V)}
+            before, last = before + list(added), list(added)
 
 
 class TestIdealOps:

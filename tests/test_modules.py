@@ -3,7 +3,7 @@
 import random
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyaccess import (
@@ -18,8 +18,8 @@ from polyaccess import (
     stabilize_chain,
 )
 from polyaccess.analysis import AnalysisSession
-from polyaccess.modules import field_to_dict
-from polyaccess.poly import mono_div, mono_divides, mono_lcm
+from polyaccess.modules import field_to_dict, module_buchberger
+from polyaccess.poly import mono_div, mono_divides, mono_key, mono_lcm
 from polyaccess.rationals import Q
 
 V2 = VarTable(("x1", "x2"))
@@ -223,6 +223,31 @@ class TestModuleOracle:
              + Polynomial(V2, {m: Q(c) for m, c in rest.items()}))
         assert as_vec(ideal.normal_form(f)) == module.normal_form(as_field([f.coeffs]))
         assert ideal.member(f) == module.member(as_field([f.coeffs]))
+
+    @settings(max_examples=60)
+    @given(submodules(), st.data())
+    def test_one_generator_basis(self, case, data):
+        """A lone nonzero vector d is its own basis: module_buchberger([d])
+        equals the general path's module_buchberger([d, m*d]) for a drawn
+        nonzero polynomial m, as dicts in the same key order.  Its element
+        is monic, its terms descending, position over term."""
+        dim, gens = case
+        d = {(pos, mono): Q(c) for pos, comp in enumerate(gens[0]) for mono, c in comp.items()}
+        assume(d)
+        mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        m = data.draw(st.dictionaries(mono, st.integers(-3, 3).filter(bool),
+                                      min_size=1, max_size=2))
+        md = {}
+        for (pos, a), c in d.items():
+            for b, e in m.items():
+                t = (pos, (a[0] + b[0], a[1] + b[1]))
+                md[t] = md.get(t, 0) + c * e
+        one = module_buchberger([d], dim)
+        general = module_buchberger([d, {t: c for t, c in md.items() if c}], dim)
+        assert [list(e.items()) for e in one] == [list(e.items()) for e in general]
+        assert len(one) == 1 and next(iter(one[0].values())) == 1
+        order = [(-pos, mono_key(mono)) for pos, mono in one[0]]
+        assert order == sorted(order, reverse=True)
 
 
 class TestStabilizeChain:

@@ -8,18 +8,22 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyaccess import ParseError, Polynomial, VarTable, parse_polynomial
+import polyaccess.poly
+from polyaccess import ParseError, Polynomial, VarTable, exact_index_analysis, parse_polynomial
 from polyaccess.modules import _mv_lt
 from polyaccess.poly import (
     _degree_bounds,
+    _line,
     _point,
     _prime,
+    _squarefree_by_image,
     mono_key,
     mono_negkey,
     poly_gcd,
     squarefree_part,
 )
 from polyaccess.rationals import Q
+from test_acceptance import random_system
 
 V2 = VarTable(("x1", "x2"))
 V3 = VarTable(("x1", "x2", "x3"))
@@ -429,3 +433,48 @@ class TestGcdOracle:
         """Polynomials in disjoint variables are coprime."""
         assert poly_gcd(p("x1^2 - 2"), p("x2*x3 + 1")) == p("1")
         assert squarefree_part(p("(x1^2 - 2)^2*(x2*x3 + 1)")) == p("(x1^2 - 2)*(x2*x3 + 1)")
+
+    def assert_fallback(self, f):
+        """The line image decides nothing for f, and the gcd chain gives
+        sympy's squarefree part."""
+        assert not _squarefree_by_image(f)
+        syms = sympy.symbols(V3.names)
+        expected = sympy.sqf_part(to_sympy(f, syms), *syms)
+        assert squarefree_part(f) == from_sympy(expected, V3, syms).monic()
+
+    def test_image_degree_drops(self):
+        """An affine form whose linear part vanishes on the line's direction
+        b is constant on the line, so its square, alone or times x3, loses
+        degree there: the image of L^2 is a nonzero constant, coprime to its
+        derivative, yet L^2 is not squarefree."""
+        (_, b1), (_, b2), _ = map(_line, range(3))
+        L = p(f"{b2}*x1 - {b1}*x2 + 1")
+        self.assert_fallback(L * L)
+        self.assert_fallback(L * L * p("x3"))
+
+    def test_image_square_in_one_variable(self):
+        """The square factor (x2 - 3)^2 keeps its degree on the line, and
+        its image divides the image's gcd with its derivative."""
+        self.assert_fallback(p("x1*(x2 - 3)^2"))
+        assert _squarefree_by_image(p("x1*(x2 - 3)"))
+
+    def test_image_squarefree_only_over_q(self):
+        """x1*(x1 + P) is squarefree over Q but x1^2 modulo the image's
+        prime P."""
+        self.assert_fallback(p(f"x1*(x1 + {_prime(0)})"))
+
+
+def test_squarefree_image_reach(monkeypatch):
+    """Over the random systems of seeds 0-399, the exact index search
+    without rerouting tries the line image on 442 polynomials, and the
+    image proves 401 of them squarefree."""
+    decided = []
+
+    def counted(f):
+        decided.append(_squarefree_by_image(f))
+        return decided[-1]
+
+    monkeypatch.setattr(polyaccess.poly, "_squarefree_by_image", counted)
+    for seed in range(400):
+        exact_index_analysis(random_system(seed), auto_route=False)
+    assert (sum(decided), len(decided)) == (401, 442)
