@@ -1,14 +1,23 @@
-"""Polynomial ideals: Groebner bases, membership, intersection, invariance
-under vector fields, and radicals in the restricted classes this package
-can certify exactly."""
+"""Polynomial ideals: Groebner bases, membership, intersection, gcds and
+squarefree parts, invariance under vector fields, and radicals in the
+restricted classes this package can certify exactly."""
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import CapReached
 from .modules import PolySubmodule, module_buchberger
-from .poly import Polynomial, VarTable, mono_div, mono_gcd, squarefree_part
+from .poly import (
+    Polynomial,
+    VarTable,
+    _squarefree_by_image,
+    exact_div,
+    mono_div,
+    mono_gcd,
+    mono_lcm,
+)
 from .rationals import ONE
 from .vectorfields import lie_derivative
 
@@ -95,6 +104,52 @@ def ideal_intersect(a, b):
     return Ideal(a.vars, [a._unvec(d) for d in basis if next(iter(d))[0] == 1])
 
 
+def poly_gcd(p, q):
+    """Monic gcd of p and q, as p*q over their lcm l.  The intersection of
+    two principal ideals is principal, <p> ∩ <q> = <l>, so l is the lone
+    element of its reduced basis (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, section 4.3)."""
+    if p.is_zero() or q.is_zero():
+        return (p + q).monic()
+    (l,) = ideal_intersect(Ideal(p.vars, [p]), Ideal(q.vars, [q])).groebner_basis()
+    return exact_div(p * q, l).monic()
+
+
+def squarefree_part(p):
+    """Monic product of the distinct irreducible factors of p (p nonzero).
+
+    A non-constant p is first tried on one fixed line x = a + b*t modulo the
+    prime P = poly._prime(0) (poly._squarefree_by_image).  Say p = f^2*g
+    over Q with f not constant.  Scaled to integer coefficients, p is
+    A = c*f^2*g with c an integer and f, g primitive over Z (Gauss's
+    lemma).  A's leading form, its homogeneous part of top degree D, is c
+    times the product of those of f^2 and g, and its value at b is the t^D
+    coefficient of A(a + b*t).  So if the image A(a + b*t) mod P keeps
+    degree D, f's leading form is nonzero at b mod P, the image of f is not
+    constant, and its square divides the image of A, which then shares a
+    factor with its t-derivative.  An image of degree D coprime to its
+    derivative therefore proves p squarefree, and p.monic() is the answer.
+
+    Otherwise p is divided by gcd(p, dp/dx_1, ..., dp/dx_n), taken one
+    partial derivative at a time with poly_gcd and stopped at the first
+    constant gcd.
+    """
+    if p.is_zero():
+        raise ValueError("squarefree part of the zero polynomial is undefined")
+    if p.is_constant():
+        return Polynomial.constant(p.vars, 1)
+    if _squarefree_by_image(p):
+        return p.monic()
+    d = p
+    for i in p.variables_present():
+        if d.is_constant():
+            break
+        d = poly_gcd(d, p.partial_derivative(i))
+    if d.is_constant():
+        return p.monic()
+    return exact_div(p, d).monic()
+
+
 def in_radical(p, ideal):
     """Membership of p in the radical, by testing whether adjoining 1 - t*p
     makes the ideal improper."""
@@ -158,42 +213,33 @@ def _positive_even_halves(p):
 
 
 def _principal_real_radical(p, vars):
-    """Real radical of a principal ideal, or Unsupported.
+    """Real radical of <p>, or Unsupported.
 
-    Splits the squarefree part into monomial content times remainder; the
-    remainder must be constant, affine-linear, or a positive combination of
-    even monomials (vanishing exactly where the half-power monomials do).
+    p is x^low times a rest with no variable factor, x^low its monomial
+    content.  The real zeros of p are those of x^low and those of s, the
+    squarefree part of the rest, so the real radical is <c> ∩ √ᴿ<s>, with c
+    the product of low's variables; s is coprime to c.  A constant s gives
+    <c>.  An affine-linear s spans a real prime, and coprime principal
+    ideals meet in their product <c*s>.  A positive combination s of even
+    monomials x^(2h) vanishes on R^n exactly where every x^h does, so √ᴿ<s>
+    is the radical of the monomial ideal of the x^h, and its intersection
+    with <c> is spanned by the squarefree parts of lcm(x^low, x^h).
     """
-    s = squarefree_part(p)
-    content = s.leading_monomial()
-    for m in s.coeffs:
-        content = mono_gcd(content, m)
-    pieces = []
-    if any(content):
-        pieces.append(Ideal(vars, [_squarefree_monomial(vars, content)]))
-        r = Polynomial(vars, {mono_div(m, content): c for m, c in s.coeffs.items()}, _clean=False)
-    else:
-        r = s
-    if r.is_constant():
-        pass
-    elif r.total_degree() == 1:
-        pieces.append(Ideal(vars, [r]))
-    else:
-        halves = _positive_even_halves(r)
-        if halves is None:
-            return Unsupported(
-                "principal generator is not monomial, affine-linear, or a "
-                "positive combination of even monomials"
-            )
-        gens = [Polynomial(vars, {h: ONE}, _clean=False) for h in halves]
-        piece = Ideal(vars, gens)
-        pieces.append(radical_monomial(piece))
-    if not pieces:
-        return Ideal(vars, [Polynomial.constant(vars, 1)])
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = ideal_intersect(out, piece)
-    return out
+    low = reduce(mono_gcd, p.coeffs)
+    c = _squarefree_monomial(vars, low)
+    rest = Polynomial(vars, {mono_div(m, low): v for m, v in p.coeffs.items()}, _clean=False)
+    if rest.is_constant():
+        return Ideal(vars, [c])
+    s = squarefree_part(rest)
+    if s.total_degree() == 1:
+        return Ideal(vars, [c * s])
+    halves = _positive_even_halves(s)
+    if halves is None:
+        return Unsupported(
+            "principal generator is not monomial, affine-linear, or a "
+            "positive combination of even monomials"
+        )
+    return Ideal(vars, [_squarefree_monomial(vars, mono_lcm(low, h)) for h in halves])
 
 
 def _structural_real_radical_shape(gb):
@@ -220,28 +266,17 @@ def _structural_real_radical_shape(gb):
     return True
 
 
-def _even_power_certificate(r, ideal, max_half_power=3):
-    """Certificate that r lies in the real radical of ideal: some r^(2m) plus
-    a positive combination of even monomials lands in the ideal."""
-    power = r * r
-    for _ in range(max_half_power):
-        nf = ideal.normal_form(power)
-        if _positive_even_halves(-nf) is not None:
-            return True
-        power = power * (r * r)
-    return False
-
-
 def real_radical_restricted(ideal):
     """Real radical within the supported classes, else Unsupported.
 
-    Classes: (a) monomial ideals; (b) principal ideals whose squarefree part
-    splits as monomial content times a constant, affine-linear, or positive
-    even-monomial combination; (c) several generators whose per-generator
-    radicals combine into a squarefree-monomial-plus-disjoint-linear ideal,
-    each combined generator certified by an even-power membership witness.
-    Generators outside (b) pass into the combination unchanged (they already
-    lie in the ideal, hence in its real radical); the shape test decides.
+    Each basis element g gives a piece: √ᴿ<g> (_principal_real_radical)
+    where that is supported, else <g> itself.  A principal ideal returns its
+    piece.  Otherwise J is the sum of the pieces, and I ⊆ J ⊆ √ᴿI: each g
+    lies in its piece, and each piece lies in √ᴿ<g> ⊆ √ᴿI.  Taking real
+    radicals, √ᴿI ⊆ √ᴿJ ⊆ √ᴿ√ᴿI = √ᴿI.  So J is the real radical of I when
+    it is its own real radical: when it is the unit ideal, or when its basis
+    is squarefree monomials plus disjoint affine-linear forms
+    (_structural_real_radical_shape).  Otherwise nothing is claimed.
     """
     vars = ideal.vars
     gb = ideal.groebner_basis()
@@ -249,31 +284,18 @@ def real_radical_restricted(ideal):
         return Ideal(vars, ())
     if not ideal.is_proper():
         return Ideal(vars, [Polynomial.constant(vars, 1)])
-    if all(_monomial_of(g) is not None for g in gb):
-        return radical_monomial(ideal)
-    if len(gb) == 1:
-        return _principal_real_radical(gb[0], vars)
-    combined_gens = []
-    for g in gb:
-        piece = _principal_real_radical(g, vars)
-        if isinstance(piece, Unsupported):
-            combined_gens.append(g)
-        else:
-            combined_gens.extend(piece.groebner_basis())
-    combined = Ideal(vars, combined_gens)
-    cgb = combined.groebner_basis()
-    if not combined.is_proper():
-        return combined
-    if not _structural_real_radical_shape(cgb):
+    pieces = [_principal_real_radical(g, vars) for g in gb]
+    if len(pieces) == 1:
+        return pieces[0]
+    gens = []
+    for g, piece in zip(gb, pieces):
+        gens.extend([g] if isinstance(piece, Unsupported) else piece.gens)
+    combined = Ideal(vars, gens)
+    if combined.is_proper() and not _structural_real_radical_shape(combined.groebner_basis()):
         return Unsupported(
             "combined per-generator radicals are not squarefree monomials "
             "plus disjoint linear forms"
         )
-    for r in cgb:
-        if not _even_power_certificate(r, ideal) and not in_radical(r, ideal):
-            return Unsupported(
-                f"no even-power membership certificate found for {r}"
-            )
     return combined
 
 

@@ -10,9 +10,8 @@ form is canonical.
 from __future__ import annotations
 
 import re
-from functools import cache, lru_cache, reduce
-from itertools import count, zip_longest
-from math import gcd, isqrt, lcm, prod
+from functools import cache, lru_cache
+from math import isqrt, lcm
 from operator import add, le, sub
 
 from .errors import ParseError
@@ -397,7 +396,7 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-# -- exact division, gcd, squarefree part ----------------------------------
+# -- exact division, squarefree certificate --------------------------------
 
 
 def exact_div(p, d):
@@ -430,68 +429,6 @@ def exact_div(p, d):
     return Polynomial(p.vars, quot, _clean=False)
 
 
-def divides(d, p):
-    try:
-        exact_div(p, d)
-        return True
-    except ValueError:
-        return False
-
-
-def poly_gcd(p, q):
-    """Monic gcd of p and q, by Brown's dense modular algorithm.
-
-    The gcd of the monomial contents is a factor; the rest is the gcd of
-    the primitive integer parts a and b, which is 1 when _degree_bounds
-    bounds its degree by 0 in every variable.  Otherwise each prime P gives
-    the monic gcd mod P (_gcd_mod) times gamma = gcd(lc a, lc b), in lex
-    order.  Primes whose gcd leads with a larger monomial than another's
-    are unlucky and dropped; the rest are combined by Chinese remaindering.
-    Each primitive candidate is certified by trial division of a and b, or
-    the next prime follows: it divides gcd(a, b) and does not lead lower.
-    """
-    if p.is_zero() or q.is_zero():
-        return (p + q).monic()
-    p._check(q)
-    (low_p, a), (low_q, b) = _primitive(p), _primitive(q)
-    mono = mono_gcd(low_p, low_q)
-    bounds = _degree_bounds(a, b, _prime(0))
-    X = Polynomial(p.vars, {mono: ONE}, _clean=False)
-    if not any(bounds):
-        return X
-    A, B = Polynomial(p.vars, a), Polynomial(p.vars, b)
-    lead, best = gcd(a[max(a)], b[max(b)]), None
-    for i in count():
-        P = _prime(i)
-        if not lead % P:
-            continue
-        h = _gcd_mod(*({m: v for m, c in f.items() if (v := c % P)} for f in (a, b)), P, bounds)
-        if best is None or max(h) < best:
-            best, H, M = max(h), {}, 1
-        elif max(h) > best:
-            continue
-        inv, M = pow(M, -1, P), M * P
-        for m in H.keys() | h.keys():
-            u = H.get(m, 0)
-            u += M // P * ((h.get(m, 0) * lead - u) * inv % P)
-            H[m] = u - M if 2 * u > M else u
-        content = gcd(*H.values())
-        G = Polynomial(p.vars, {m: c // content for m, c in H.items()})
-        if divides(G, A) and divides(G, B):
-            return (X * G).monic()
-
-
-def _primitive(p):
-    """The monomial content of p, and p over it and its integer content as
-    {exponent tuple: int}."""
-    low = reduce(mono_gcd, p.coeffs)
-    den = lcm(*(c.denominator for c in p.coeffs.values()))
-    out = {mono_div(m, low): int(c.numerator) * (den // int(c.denominator))
-           for m, c in p.coeffs.items()}
-    content = gcd(*out.values())
-    return low, {m: c // content for m, c in out.items()}
-
-
 @cache
 def _prime(i):
     """Prime i of the fixed list of primes below 2**30, descending."""
@@ -502,122 +439,6 @@ def _prime(i):
 def _point(i, j):
     """Evaluation point j of variable i, from a fixed list per variable."""
     return 7919 * (i + 1) + 1009 * j
-
-
-def _degree_bounds(a, b, P):
-    """Bound on the degree of gcd(a, b) in each variable, from images mod P
-    of the integer polynomials a and b ({exponent tuple: int}).
-
-    For a variable v, the others are set to their image points (_image),
-    taking the first t < 3 where neither v-leading coefficient vanishes
-    mod P.  A common factor of v-degree d keeps it there, as its v-leading
-    coefficient divides that of a, so d is at most the degree of the gcd of
-    the two images.  Without such a point the bound is the smaller v-degree.
-    """
-    bounds = []
-    for v in range(len(next(iter(a)))):
-        bound = min(max(m[v] for m in a), max(m[v] for m in b))
-        for t in range(3 if bound else 0):
-            images = [_image(f, v, t, P) for f in (a, b)]
-            if images[0][-1] and images[1][-1]:
-                bound = len(_ugcd(*images, P)) - 1
-                break
-        bounds.append(bound)
-    return bounds
-
-
-def _image(f, v, t, P):
-    """Dense coefficients mod P of f in variable v, constant term first,
-    with each other variable j set to _point(j, t)."""
-    out = [0] * (max(m[v] for m in f) + 1)
-    for m, c in f.items():
-        out[m[v]] += c * prod(pow(_point(j, t), e, P) for j, e in enumerate(m) if j != v)
-    return [c % P for c in out]
-
-
-def _gcd_mod(f, g, P, bounds):
-    """Monic gcd of nonzero f and g ({exponent tuple: int}) in
-    Z/P[x_0, ..., x_k], lex order with x_0 first, by Brown's recursion.
-
-    bounds[i] bounds the x_i-degree of the gcd.  Over Z/P[x_k] the gcd is
-    gcd(cont f, cont g) times a primitive G whose leading coefficient
-    divides gamma = gcd(lc pp f, lc pp g).  At x_k = t with gamma(t) != 0,
-    gamma*G/lc(G) maps to gamma(t) times the monic gcd of the images of pp f
-    and pp g, unless t is unlucky and that gcd leads with a larger monomial.
-    The images leading lowest are interpolated in x_k; once they outnumber
-    deg gamma plus the bound, the interpolant's primitive part is tried by
-    trial division of f and g, and more points follow until it divides both.
-    """
-    if not bounds:
-        return {(): 1}
-    k = len(bounds) - 1
-    cf, F = _primitive_mod(_split(f), P)
-    cg, G = _primitive_mod(_split(g), P)
-    cont = _ugcd(cf, cg, P)
-    gamma = _ugcd(F[max(F)], G[max(G)], P)
-    need = len(gamma) + min(bounds[k], *(max(map(len, S.values())) - 1 for S in (F, G)))
-    best, H, q = None, {}, [1]
-    for t in (_point(k, j) % P for j in count()):
-        scale = _ueval(gamma, t, P)
-        if not scale:
-            continue
-        h = _gcd_mod(*({m: v for m, r in S.items() if (v := _ueval(r, t, P))} for S in (F, G)),
-                     P, bounds[:k])
-        if not any(max(h)):  # G = 1
-            return _join({(0,) * k: cont})
-        if best is None or max(h) < best:
-            best, H, q = max(h), {}, [1]
-        elif max(h) > best:
-            continue
-        w = pow(_ueval(q, t, P), -1, P)
-        for m in H.keys() | h.keys():  # Newton interpolation
-            row = H.get(m, [])
-            r = (h.get(m, 0) * scale - _ueval(row, t, P)) * w % P
-            if r:
-                H[m] = [(u + r * v) % P for u, v in zip_longest(row, q, fillvalue=0)]
-        q = _umul(q, [-t % P, 1], P)
-        if len(q) > need:
-            _, C = _primitive_mod(H, P)
-            if _divides(_join(C), f, P) and _divides(_join(C), g, P):
-                cont = _umul(cont, [pow(C[max(C)][-1], -1, P)], P)
-                return _join({m: _umul(row, cont, P) for m, row in C.items()})
-
-
-def _split(f):
-    """f as {exponents of the other variables: dense row in the last one}."""
-    out = {}
-    for m, c in f.items():
-        row = out.setdefault(m[:-1], [])
-        row.extend([0] * (m[-1] + 1 - len(row)))
-        row[m[-1]] = c
-    return out
-
-
-def _join(S):
-    return {m + (e,): c for m, row in S.items() for e, c in enumerate(row) if c}
-
-
-def _primitive_mod(S, P):
-    """Content in Z/P[last variable] and primitive part of the split S."""
-    content = reduce(lambda u, w: _ugcd(u, w, P), S.values())
-    return content, {m: _udivmod(row, content, P)[0] for m, row in S.items()}
-
-
-def _divides(d, f, P):
-    """True when d divides f over Z/P, by division in lex order."""
-    lm, f = max(d), dict(f)
-    inv = pow(d[lm], -1, P)
-    while f:
-        m = max(f)
-        if not mono_divides(lm, m):
-            return False
-        c, s = f[m] * inv % P, mono_div(m, lm)
-        for m2, c2 in d.items():
-            t = mono_mul(s, m2)
-            f[t] = (f.get(t, 0) - c * c2) % P
-            if not f[t]:
-                del f[t]
-    return True
 
 
 def _udivmod(a, b, P):
@@ -643,19 +464,6 @@ def _ugcd(a, b, P):
     return [c * inv % P for c in a]
 
 
-def _ueval(a, t, P):
-    """Value at t, by Horner's rule."""
-    return reduce(lambda v, c: (v * t + c) % P, reversed(a), 0)
-
-
-def _umul(a, b, P):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return [c % P for c in out]
-
-
 def _line(i):
     """Point and direction of variable i on the line of the squarefree
     certificate: x_i = a + b*t."""
@@ -678,7 +486,7 @@ def _monomial_on_line(mono):
 def _squarefree_by_image(p):
     """True when the image of p on the certificate line mod _prime(0) keeps
     the total degree of p and is coprime to its t-derivative, which proves
-    p squarefree (see squarefree_part).  False decides nothing."""
+    p squarefree (see ideals.squarefree_part).  False decides nothing."""
     P = _prime(0)
     den = lcm(*(c.denominator for c in p.coeffs.values()))
     h = [0] * (p.total_degree() + 1)
@@ -693,42 +501,6 @@ def _squarefree_by_image(p):
     # since 0 < D < P
     dh = [k * c % P for k, c in enumerate(h)][1:]
     return len(_ugcd(h, dh, P)) == 1
-
-
-def squarefree_part(p):
-    """Monic product of the distinct irreducible factors of p (p nonzero).
-
-    A non-constant p is first tried on one fixed line x = a + b*t modulo the
-    prime P = _prime(0) (_squarefree_by_image).  Say p = f^2*g over Q with
-    f not constant.  Scaled to integer coefficients, p is A = c*f^2*g with
-    c an integer and f, g primitive over Z (Gauss's lemma).  A's leading
-    form, its homogeneous part of top degree D, is c times the product of
-    those of f^2 and g, and its value at b is the t^D coefficient of
-    A(a + b*t).  So if the image A(a + b*t) mod P keeps degree D, f's
-    leading form is nonzero at b mod P, the image of f is not constant, and
-    its square divides the image of A, which then shares a factor with its
-    t-derivative.  An image of degree D coprime to its derivative therefore
-    proves p squarefree, and p.monic() is the answer.
-
-    Otherwise p is divided by gcd(p, dp/dx_1, ..., dp/dx_n), taken one
-    partial derivative at a time with poly_gcd and stopped at the first
-    constant gcd.  Every non-constant gcd is certified by trial division,
-    and a squarefree p ends on a pair that univariate images prove coprime.
-    """
-    if p.is_zero():
-        raise ValueError("squarefree part of the zero polynomial is undefined")
-    if p.is_constant():
-        return Polynomial.constant(p.vars, 1)
-    if _squarefree_by_image(p):
-        return p.monic()
-    d = p
-    for i in p.variables_present():
-        if d.is_constant():
-            break
-        d = poly_gcd(d, p.partial_derivative(i))
-    if d.is_constant():
-        return p.monic()
-    return exact_div(p, d).monic()
 
 
 # -- text grammar -----------------------------------------------------------

@@ -321,7 +321,7 @@ class TestOneSessionPerRun:
 
     @pytest.mark.parametrize("name, bases, adjoins", [
         ("planar", 18, 10),
-        ("circle3d", 17, 19),
+        ("circle3d", 23, 19),
         ("unicycle", 11, 2),
         ("pendulum", 36, 38),
     ])

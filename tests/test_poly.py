@@ -8,19 +8,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polyaccess.poly
+import polyaccess.ideals
 from polyaccess import ParseError, Polynomial, VarTable, exact_index_analysis, parse_polynomial
+from polyaccess.ideals import poly_gcd, squarefree_part
 from polyaccess.modules import _mv_lt
 from polyaccess.poly import (
-    _degree_bounds,
     _line,
     _point,
     _prime,
     _squarefree_by_image,
     mono_key,
     mono_negkey,
-    poly_gcd,
-    squarefree_part,
 )
 from polyaccess.rationals import Q
 from test_acceptance import random_system
@@ -284,10 +282,9 @@ def gcd_cases(draw):
 
 
 def gcd_within(a, b, seconds=20):
-    """poly_gcd(a, b), failing instead of hanging when no candidate ever
-    passes trial division."""
+    """poly_gcd(a, b), failing instead of hanging past a time limit."""
     def expire(signum, frame):
-        raise TimeoutError(f"poly_gcd gave no certified result within {seconds} s")
+        raise TimeoutError(f"poly_gcd gave no result within {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
     try:
@@ -295,11 +292,6 @@ def gcd_within(a, b, seconds=20):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def ints(poly):
-    """Integer coefficients {exponent tuple: int} of an integer polynomial."""
-    return {m: int(c) for m, c in poly.coeffs.items()}
 
 
 SWEEP_PAIRS = (
@@ -359,66 +351,59 @@ class TestGcdOracle:
         assert squarefree_part(a) == from_sympy(expected, V, syms).monic()
 
     def test_vanished_leading_coefficient(self):
-        """The x1-leading coefficient x2 - t of f vanishes at the first image
-        point, where x2 = t.  The next point bounds the x1-degree of the gcd
-        by 0, which certifies a coprime pair; a common factor f, whose image
-        at the first point is constant, is still found."""
+        """The x1-leading coefficient x2 - t of f vanishes at x2 = t, the
+        certificate line's point for x2, where f's image is constant: f and
+        x1 + x2 are coprime, and f is the gcd of f*(x1 + 1) and f*(x1 + 2)."""
         t = _point(1, 0)
         f, g = p(f"(x2 - {t})*x1 + 1"), p("x1 + x2")
-        assert _degree_bounds(ints(f), ints(g), _prime(0)) == [0, 0, 0]
         assert gcd_within(f, g) == p("1")
         a, b = f * p("x1 + 1"), f * p("x1 + 2")
-        assert _degree_bounds(ints(a), ints(b), _prime(0))[0] == 1
         assert gcd_within(a, b) == f.monic()
 
     def test_unlucky_image_point(self):
         """x1 - x2 and x1 - 2*x2 + t agree at x2 = t, the first image point,
-        so their images there share x1 - t though the pair is coprime: the
-        image bound on the x1-degree is 1, and the modular gcd decides."""
+        so their images there share x1 - t though the pair is coprime."""
         f, g = p("x1 - x2"), p(f"x1 - 2*x2 + {_point(1, 0)}")
-        assert _degree_bounds(ints(f), ints(g), _prime(0)) == [1, 0, 0]
         assert gcd_within(f, g) == p("1")
 
     def test_unlucky_evaluation_points(self):
         """f = x1 - x2 and g = x1 - 2*x2 + t agree at x2 = t, where the
-        images of f*g and g^2 have the gcd (x1 - t)^2.  With t the first
-        evaluation point of x2, that image is replaced by the next one; with
-        t the second, it is skipped."""
+        images of f*g and g^2 have the gcd (x1 - t)^2, for t the first or
+        the second evaluation point of x2; the gcd over Q is g."""
         for j in (0, 1):
             f, g = p("x1 - x2"), p(f"x1 - 2*x2 + {_point(1, j)}")
             assert gcd_within(f * g, g * g) == g
 
     def test_unlucky_prime(self):
-        """x1 + x2 + 1 and x1 + x2 + 1 + P are coprime but equal mod the
-        first prime P: its gcd is rejected by trial division, and the next
-        prime's leads lower."""
+        """x1 + x2 + 1 and x1 + x2 + 1 + P are coprime over Q but equal mod
+        the certificate's prime P."""
         P = _prime(0)
         h = p("x1 + x2")
         assert gcd_within(p("x1 + x2 + 1"), p(f"x1 + x2 + 1 + {P}")) == p("1")
         assert gcd_within(h * p("x1 + 1"), h * p(f"x1 + 1 + {P}")) == h
 
     def test_integer_content_divisible_by_first_prime(self):
-        """Integer contents are divided out before reducing mod a prime."""
+        """Integer contents divisible by the certificate's prime leave the
+        gcd over Q unchanged."""
         P = _prime(0)
         assert gcd_within(p(f"{P}*(x1 + 1)*(x2 - 3)"), p("(x1 + 1)*(x1 - x2)")) == p("x1 + 1")
         assert gcd_within(p(f"{P}*(x1 + 1)*(x2 - 3)"), p(f"{P}*(x1 + 1)*x3")) == p("x1 + 1")
 
     def test_coefficients_beyond_one_prime(self):
-        """A gcd coefficient above the primes takes several of them."""
+        """A gcd with coefficients above the certificate's prime is exact."""
         g = p(f"x1*x2 + {2**70 + 1}*x3 - {3**50}")
         assert gcd_within(g * p("x1 - x3"), g * p("x2^2 + 1")) == g
 
     def test_leading_coefficient_not_constant(self):
         """The gcd x2*x1 + 1 leads with x2 in x1, and 3*x2*x1 + 2 with an
-        integer 3: both are found through the gamma scaling."""
+        integer 3: both come out monic."""
         for text in ("x2*x1 + 1", "3*x2*x1 + 2"):
             g = p(text)
             assert gcd_within(g * p("x1 + x2"), g * p("x1 - 2")) == g.monic()
             assert gcd_within(g * p("x2 + x3"), g * g * p("x1*x3 - 1")) == g.monic()
 
     def test_monomial_times_factor(self):
-        """A gcd x3*(x1 - x2): the monomial part from the contents, the
-        rest from the modular gcd."""
+        """A gcd x3*(x1 - x2): a monomial times a non-monomial factor."""
         a, b = p("x3*(x1 - x2)*(x1 + 1)"), p("x3^2*(x1 - x2)*(x2 + 3)")
         assert gcd_within(a, b) == p("x3*(x1 - x2)")
 
@@ -428,6 +413,16 @@ class TestGcdOracle:
         variables, gcd x3."""
         for a, b in SWEEP_PAIRS:
             assert gcd_within(p(a), p(b)) == p("x3")
+
+    def test_slowest_planted_pair(self):
+        """The slowest of 1,200 random planted pairs g^2*a, g*b or g*a, g*b
+        (one to three variables, factors of two to four terms with
+        exponents up to 3): degree 23 in three variables, gcd g.  It takes
+        1.3-2.2 s (2 vCPU, Python 3.11); the limit catches a blow-up."""
+        g = p("x1^2*x2^3*x3^3 + 2*x1^3*x2^3 - 1/2*x1^3*x2*x3^2 - 4/3*x1^2*x2^2*x3^2")
+        a = p("-5*x1^2*x2^2*x3^3 - 1/2*x1^3*x2*x3 + x1*x2^3*x3 + 2/3*x2 + 5")
+        b = p("2/3*x1^3*x2^3*x3^3 - 5/3*x1^2*x2^3*x3 + 4*x1^3*x3^3 + 1")
+        assert gcd_within(g * g * a, g * b, seconds=5) == g
 
     def test_no_shared_variable(self):
         """Polynomials in disjoint variables are coprime."""
@@ -466,15 +461,15 @@ class TestGcdOracle:
 
 def test_squarefree_image_reach(monkeypatch):
     """Over the random systems of seeds 0-399, the exact index search
-    without rerouting tries the line image on 442 polynomials, and the
-    image proves 401 of them squarefree."""
+    without rerouting tries the line image on 425 content-free polynomials,
+    and the image proves 419 of them squarefree."""
     decided = []
 
     def counted(f):
         decided.append(_squarefree_by_image(f))
         return decided[-1]
 
-    monkeypatch.setattr(polyaccess.poly, "_squarefree_by_image", counted)
+    monkeypatch.setattr(polyaccess.ideals, "_squarefree_by_image", counted)
     for seed in range(400):
         exact_index_analysis(random_system(seed), auto_route=False)
-    assert (sum(decided), len(decided)) == (401, 442)
+    assert (sum(decided), len(decided)) == (419, 425)
