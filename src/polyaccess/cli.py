@@ -4,6 +4,7 @@ and print either a text report or a deterministic structured document."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,11 @@ _INDEX_PHRASE = {
 }
 
 
+@functools.cache
 def build_arg_parser():
+    """The command line's parser, built on the first call and shared by
+    every later one: parse_args keeps no state between calls, and help
+    reads the terminal width when it is printed."""
     ap = argparse.ArgumentParser(
         prog="polyaccess",
         description="Accessibility analysis of polynomial control-affine "

@@ -1,6 +1,10 @@
 """Command-line interface: output shapes, determinism, exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +17,8 @@ from polyaccess import Polynomial, VarTable, parse_polynomial
 from polyaccess.cli import main
 from polyaccess.immersion import VerifyResult
 
-SYSTEMS = Path(__file__).resolve().parent.parent / "demos" / "systems"
+ROOT = Path(__file__).resolve().parent.parent
+SYSTEMS = ROOT / "demos" / "systems"
 
 PLANAR = """\
 vars x1 x2
@@ -386,3 +391,93 @@ class TestFlagOverrides:
             main(["index", planar_file, "--order", "lex"])
         assert raised.value.code == 2
         assert "--order" in capsys.readouterr().err
+
+
+def _fresh_process(script, *args):
+    """stdout of a new interpreter that runs script with the package on its
+    path and args as its sys.argv[1:]."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestParserReuse:
+    """The parser is built on the first main call and reused; no call leaves
+    state behind for the next."""
+
+    def test_import_builds_no_parser(self):
+        """Importing the command line constructs no ArgumentParser."""
+        script = ("import argparse\n"
+                  "built = []\n"
+                  "init = argparse.ArgumentParser.__init__\n"
+                  "def counted(self, *args, **kwargs):\n"
+                  "    built.append(1)\n"
+                  "    init(self, *args, **kwargs)\n"
+                  "argparse.ArgumentParser.__init__ = counted\n"
+                  "import polyaccess.cli\n"
+                  "print(len(built))\n")
+        assert _fresh_process(script) == "0\n"
+
+    def test_later_calls_build_no_parser(self, planar_file, capsys, monkeypatch):
+        """After the first call, runs, argument errors and help construct no
+        ArgumentParser."""
+        assert main(["index", planar_file]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["index", planar_file]) == 0
+        assert main(["rank", planar_file, "--l", "2", "--format", "structured"]) == 0
+        for argv in (["index", planar_file, "--order", "lex"], ["rank", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        assert built == []
+
+    def test_threshold_not_carried(self, planar_file, capsys):
+        """A --l given to one call is not a threshold for the next: rank
+        without one still exits 2, and full adds no rank section."""
+        assert main(["full", planar_file]) == 0
+        alone = capsys.readouterr().out
+        assert main(["rank", planar_file, "--l", "2"]) == 0
+        assert main(["rank", planar_file]) == 2
+        assert "rank needs a threshold" in capsys.readouterr().err
+        assert main(["rank", planar_file, "--l", "2"]) == 0
+        capsys.readouterr()
+        assert main(["full", planar_file]) == 0
+        assert capsys.readouterr().out == alone
+        assert "== rank" not in alone
+
+    def test_check_not_carried(self, unicycle_file, capsys):
+        """immerse after immerse --check prints no certificate lines."""
+        assert main(["immerse", "--check", unicycle_file]) == 0
+        assert "certificate:" in capsys.readouterr().out
+        assert main(["immerse", unicycle_file]) == 0
+        assert "certificate:" not in capsys.readouterr().out
+
+    def test_strict_not_carried(self, planar_file, capsys):
+        """A capped run exits 3 under --strict and 0 when run again without it."""
+        argv = ["index", planar_file, "--max-depth", "1"]
+        assert main(argv + ["--strict"]) == 3
+        assert "cap reached" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert "cap reached" in capsys.readouterr().out
+
+    def test_argument_error_then_valid(self, planar_file, capsys):
+        """After an argument error, a valid call prints what a fresh process
+        prints."""
+        with pytest.raises(SystemExit) as raised:
+            main(["index", planar_file, "--order", "lex"])
+        assert raised.value.code == 2
+        capsys.readouterr()
+        assert main(["index", planar_file]) == 0
+        fresh = _fresh_process("import sys\n"
+                               "from polyaccess.cli import main\n"
+                               "sys.exit(main(sys.argv[1:]))\n", "index", planar_file)
+        assert capsys.readouterr().out == fresh

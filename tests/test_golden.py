@@ -1,7 +1,8 @@
 """Golden output: `--format structured` and `--format text` of every command
-on the shipped demo systems, and the exact index search over the random
-systems of seeds 0-399 (sweep_answers.txt), compared byte for byte with the
-files in tests/golden/.
+on the shipped demo systems, the command line's help at 80 columns
+(cli_help.txt), and the exact index search over the random systems of seeds
+0-399 (sweep_answers.txt), compared byte for byte with the files in
+tests/golden/.
 
 An intended output change regenerates the files with
 `PYTHONPATH=src python tests/test_golden.py` and shows up in their diff.
@@ -9,6 +10,7 @@ An intended output change regenerates the files with
 
 import contextlib
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,31 @@ def test_text_output(name, command, extra):
     assert _run(name, command, extra, "text") == _golden_path(name, command, "text").read_text()
 
 
+def _help_text():
+    """`polyaccess --help` and each command's --help, wrapped to the
+    terminal width that COLUMNS gives."""
+    blocks = []
+    for argv in (["--help"], *([command, "--help"] for command in COMMANDS + ("immerse",))):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0, argv
+        blocks.append(f"$ polyaccess {' '.join(argv)}\n{out.getvalue()}")
+    return "\n".join(blocks)
+
+
+def test_help_text(monkeypatch):
+    """The help is pinned at 80 columns, and a narrower terminal read after
+    the parser exists still rewraps it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    wide = _help_text()
+    assert wide == (GOLDEN / "cli_help.txt").read_text()
+    monkeypatch.setenv("COLUMNS", "60")
+    narrow = _help_text()
+    assert narrow != wide
+    assert max(map(len, narrow.splitlines())) < max(map(len, wide.splitlines()))
+
+
 def _sweep_answers():
     """One line per random system: index kind, verdict, value, singular
     generators, and r-hat where r* is exact, tab-separated."""
@@ -92,4 +119,6 @@ if __name__ == "__main__":
     for name, command, extra in CASES:
         for fmt in FORMATS:
             _golden_path(name, command, fmt).write_text(_run(name, command, extra, fmt))
+    os.environ["COLUMNS"] = "80"
+    (GOLDEN / "cli_help.txt").write_text(_help_text())
     (GOLDEN / "sweep_answers.txt").write_text(_sweep_answers())
