@@ -268,11 +268,14 @@ class AnalysisSession:
         fields zero) has rank 0."""
         n = self.system.dimension
         records = []
-        best = 0
+        best = rank = 0
         for depth in range(n):
-            M = self.matrix(mode, depth)
-            rank = 0 if M is None else generic_rank(
-                M, seed=self.seed, module=self._columns(mode, depth)[1]).rank
+            # a depth past 0 that retains nothing has the columns, so the
+            # rank, of the depth before
+            if depth == 0 or self._depth(mode, depth)[0]:
+                M = self.matrix(mode, depth)
+                rank = 0 if M is None else generic_rank(
+                    M, seed=self.seed, module=self._columns(mode, depth)[1]).rank
             best = max(best, rank)
             records.append(ChainRecord(depth=depth, family_size=self._family_size(mode, depth),
                                        generic_rank=rank))

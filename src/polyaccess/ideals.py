@@ -277,6 +277,10 @@ def real_radical_restricted(ideal):
     it is its own real radical: when it is the unit ideal, or when its basis
     is squarefree monomials plus disjoint affine-linear forms
     (_structural_real_radical_shape).  Otherwise nothing is claimed.
+
+    Since each g lies in its piece, J is also I plus the supported pieces,
+    so its basis is built by inserting their generators into I's basis, and
+    J is I itself when no piece is supported.
     """
     vars = ideal.vars
     gb = ideal.groebner_basis()
@@ -287,10 +291,8 @@ def real_radical_restricted(ideal):
     pieces = [_principal_real_radical(g, vars) for g in gb]
     if len(pieces) == 1:
         return pieces[0]
-    gens = []
-    for g, piece in zip(gb, pieces):
-        gens.extend([g] if isinstance(piece, Unsupported) else piece.gens)
-    combined = Ideal(vars, gens)
+    gens = [h for piece in pieces if not isinstance(piece, Unsupported) for h in piece.gens]
+    combined = ideal.extended(gens) if gens else ideal
     if combined.is_proper() and not _structural_real_radical_shape(combined.groebner_basis()):
         return Unsupported(
             "combined per-generator radicals are not squarefree monomials "
@@ -331,14 +333,21 @@ class ClosureResult(NamedTuple):
 
 def invariant_closure(ideal, fields, max_rounds=64):
     """Smallest ideal containing the input and closed under Lie derivatives
-    along the fields, grown breadth-first one round at a time."""
+    along the fields, grown breadth-first one round at a time.
+
+    Round 1 differentiates the input's basis; each later round only the
+    generators the round before added.  An ideal is invariant exactly when
+    L_X maps a generating set into it, since L_X(a*g) = L_X(a)*g + a*L_X(g),
+    and every earlier generator's derivatives already lie in the ideal its
+    own round extended to."""
     current = ideal
+    frontier = ideal.groebner_basis()
     rounds = []
     for _ in range(max_rounds):
-        residues = lie_residues(current, current.groebner_basis(), fields)
-        added = tuple(dict.fromkeys(nf.monic() for _, _, nf in residues))
-        if not added:
+        residues = lie_residues(current, frontier, fields)
+        frontier = tuple(dict.fromkeys(nf.monic() for _, _, nf in residues))
+        if not frontier:
             return ClosureResult(current, tuple(rounds))
-        rounds.append(added)
-        current = current.extended(added)
+        rounds.append(frontier)
+        current = current.extended(frontier)
     raise CapReached("invariant closure", max_rounds)

@@ -58,7 +58,7 @@ class ImmersionMap:
     first n entries must be the source coordinates themselves; every later
     entry adds one transcendental atom or polynomial coordinate."""
 
-    __slots__ = ("source_vars", "target_vars", "entries")
+    __slots__ = ("source_vars", "target_vars", "entries", "_relations", "_ideal", "_rows")
 
     def __init__(self, source_vars, target_vars, entries):
         if not isinstance(source_vars, VarTable):
@@ -102,6 +102,8 @@ class ImmersionMap:
         self.source_vars = source_vars
         self.target_vars = target_vars
         self.entries = entries
+        # built once on first use and shared, since the map never changes
+        self._relations = self._ideal = self._rows = None
 
     @property
     def source_dimension(self):
@@ -123,6 +125,8 @@ class ImmersionMap:
     def relation_generators(self):
         """Defining relations of the image variety: sin^2 + cos^2 = 1 per
         angle, z*q = 1 per reciprocal, z = p per polynomial coordinate."""
+        if self._relations is not None:
+            return self._relations
         vars = self.target_vars
         one = Polynomial.constant(vars, 1)
         gens = []
@@ -142,10 +146,15 @@ class ImmersionMap:
                 gens.append(z * e.expr - one)
             elif e.kind == "polynomial":
                 gens.append(z - e.expr)
-        return tuple(gens)
+        self._relations = tuple(gens)
+        return self._relations
 
     def relation_ideal(self):
-        return Ideal(self.target_vars, self.relation_generators())
+        """The ideal of the relations; one object per map, so its basis is
+        built once."""
+        if self._ideal is None:
+            self._ideal = Ideal(self.target_vars, self.relation_generators())
+        return self._ideal
 
 
 class AnalyticSystem:
@@ -190,10 +199,13 @@ class ImmersedSystem:
 
 
 def jacobian(map):
-    """Rows d(T_j)/dx_t of the map, in entry order, as polynomials over the
-    target variables.  A reciprocal 1/q differentiates to -(1/q)^2 dq, where
-    q uses only earlier targets, so its row sums their rows by the chain
-    rule; sin and cos need their companion entry."""
+    """Rows d(T_j)/dx_t of the map, in entry order, as tuples of polynomials
+    over the target variables; built once per map.  A reciprocal 1/q
+    differentiates to -(1/q)^2 dq, where q uses only earlier targets, so its
+    row sums their rows by the chain rule; sin and cos need their companion
+    entry."""
+    if map._rows is not None:
+        return map._rows
     vars = map.target_vars
     n = map.source_dimension
     zero = Polynomial.zero(vars)
@@ -223,8 +235,9 @@ def jacobian(map):
                 dq = [a + q_s * r for a, r in zip(dq, rows[s])]
             z = Polynomial.variable(vars, j)
             row = [-(z * z) * a for a in dq]
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    map._rows = tuple(rows)
+    return map._rows
 
 
 def pushforward(rows, field):

@@ -115,6 +115,46 @@ def _mul_into(acc, a, b, sign=1):
                     del acc[m]
 
 
+def _add_into(acc, d, negate):
+    """acc += d, or acc -= d, in place; sums that cancel are removed."""
+    for m, c in d.items():
+        v = acc.get(m)
+        if v is None:
+            acc[m] = -c if negate else c
+        else:
+            v = v - c if negate else v + c
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+
+
+def _times(a, b):
+    """a * b on coefficient dicts, in Polynomial.__mul__'s term order; a
+    single term multiplies the other factor directly."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((ma, ca),) = a.items()
+        return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
+    res = {}
+    _mul_into(res, a, b)
+    return res
+
+
+def _power(d, n, zero):
+    """d ** n on coefficient dicts, by repeated squaring; zero is the
+    constant monomial."""
+    result = {zero: ONE}
+    while n:
+        if n & 1:
+            result = _times(result, d)
+        if n > 1:
+            d = _times(d, d)
+        n >>= 1
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial tied to a VarTable, its terms in degrevlex."""
 
@@ -236,16 +276,7 @@ class Polynomial:
             other = Polynomial.constant(self.vars, other)
         self._check(other)
         res = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = res.get(m)
-            if v is None:
-                res[m] = c
-            else:
-                v = v + c
-                if v:
-                    res[m] = v
-                else:
-                    del res[m]
+        _add_into(res, other.coeffs, False)
         return Polynomial(self.vars, res, _clean=False)
 
     __radd__ = __add__
@@ -258,16 +289,7 @@ class Polynomial:
             other = Polynomial.constant(self.vars, other)
         self._check(other)
         res = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = res.get(m)
-            if v is None:
-                res[m] = -c
-            else:
-                v = v - c
-                if v:
-                    res[m] = v
-                else:
-                    del res[m]
+        _add_into(res, other.coeffs, True)
         return Polynomial(self.vars, res, _clean=False)
 
     def __rsub__(self, other):
@@ -292,14 +314,7 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return Polynomial(self.vars, _power(self.coeffs, n, (0,) * len(self.vars)), _clean=False)
 
     # -- calculus / evaluation ---------------------------------------------
 
@@ -504,151 +519,185 @@ def _squarefree_by_image(p):
 
 
 # -- text grammar -----------------------------------------------------------
+#
+#   expr   := term (('+' | '-') term)*
+#   term   := factor (('*' | '/') factor)*
+#   factor := ('-' | '+') factor | atom ('^' integer)?
+#   atom   := integer | name | name '(' expr ')' | '(' expr ')'
+#
+# One findall splits a component into token strings; whitespace is skipped
+# and every other character that starts no token becomes a token of its own,
+# which no rule accepts.  The descent works on plain {monomial: Q} dicts.
+# Line and column are worked out from the text only for an error or a hook.
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
-)
-
-
-def tokenize_expression(text, line=1, col=1):
-    """Token stream [(kind, value, line, col)] for the polynomial grammar."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        for ch in value:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        i = m.end()
-    tokens.append(("end", "", line, col))
-    return tokens
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]|\S")
+# the characters that only _TOKEN_RE's last alternative takes
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_+\-*/^()]")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-class _ExprParser:
-    def __init__(self, tokens, vars, resolve_call=None, resolve_division=None):
-        self.tokens = tokens
-        self.pos = 0
+class _Fail(Exception):
+    """A parse error at token number `at`, positioned when it is raised."""
+
+    def __init__(self, at, message, expected=None):
+        self.at, self.message, self.expected = at, message, expected
+
+
+def _found(toks, at, expected):
+    return _Fail(at, f"found {toks[at] or 'end of input'!r}", expected)
+
+
+def _position(text, offset, line, col):
+    """Line and column of text[offset], for text starting at (line, col);
+    the column restarts at 1 after each newline."""
+    newlines = text.count("\n", 0, offset)
+    if newlines:
+        return line + newlines, offset - text.rfind("\n", 0, offset)
+    return line, col + offset
+
+
+def _token_offset(text, at):
+    """Offset of token number `at` in text; the end of input is at len(text)."""
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        if k == at:
+            return m.start()
+    return len(text)
+
+
+@cache
+def _monomials(n):
+    """The constant monomial and the n unit monomials of width n."""
+    zero = (0,) * n
+    return zero, tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
+
+
+class _Descent:
+    """Recursive descent over one component's tokens, a method per rule of
+    the grammar but atom, which factor parses.  Each takes the number of its
+    first token and returns (coefficient dict, number of the next token);
+    every dict it returns is new, so callers update it in place."""
+
+    __slots__ = ("toks", "text", "line", "col", "vars", "index", "zero", "units",
+                 "resolve_call", "resolve_division")
+
+    def __init__(self, text, vars, line, col, resolve_call, resolve_division):
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append("")
+        self.text = text
+        self.line = line
+        self.col = col
         self.vars = vars
+        self.index = vars._index
+        self.zero, self.units = _monomials(len(vars.names))
         self.resolve_call = resolve_call
         self.resolve_division = resolve_division
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def where(self, at):
+        return _position(self.text, _token_offset(self.text, at), self.line, self.col)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def polynomial(self, d):
+        return Polynomial(self.vars, d, _clean=False)
 
-    def expect(self, value):
-        kind, val, line, col = self.peek()
-        if val != value:
-            raise ParseError(f"found {val or 'end of input'!r}", line, col, expected=repr(value))
-        return self.advance()
+    def expr(self, i):
+        d, i = self.term(i)
+        toks = self.toks
+        op = toks[i]
+        while op == "+" or op == "-":
+            e, i = self.term(i + 1)
+            _add_into(d, e, op == "-")
+            op = toks[i]
+        return d, i
 
-    def parse(self):
-        p = self.expr()
-        kind, val, line, col = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {val!r}", line, col)
-        return p
+    def term(self, i):
+        d, i = self.factor(i)
+        toks = self.toks
+        op = toks[i]
+        while op == "*" or op == "/":
+            e, j = self.factor(i + 1)
+            d = _times(d, e) if op == "*" else self.divide(d, e, i)
+            i = j
+            op = toks[i]
+        return d, i
 
-    def expr(self):
-        p = self.term()
-        while True:
-            kind, val, _, _ = self.peek()
-            if val == "+":
-                self.advance()
-                p = p + self.term()
-            elif val == "-":
-                self.advance()
-                p = p - self.term()
+    def divide(self, d, e, at):
+        if not e:
+            raise _Fail(at, "division by zero")
+        if len(e) == 1 and self.zero in e:
+            inv = ONE / e[self.zero]
+            return {m: c * inv for m, c in d.items()}
+        if self.resolve_division is None:
+            raise _Fail(at, "division by a non-constant polynomial")
+        q = self.resolve_division(self.polynomial(d), self.polynomial(e), *self.where(at))
+        return dict(q.coeffs)
+
+    def factor(self, i):
+        toks = self.toks
+        tok = toks[i]
+        if tok == "-":
+            d, i = self.factor(i + 1)
+            for m, c in d.items():
+                d[m] = -c
+            return d, i
+        if tok == "+":
+            return self.factor(i + 1)
+        # the atom
+        if tok.isdecimal():
+            c = Q(int(tok))
+            d = {self.zero: c} if c else {}
+            i += 1
+        elif tok[:1] in _NAME_START:
+            if toks[i + 1] == "(":
+                d, i = self.call(i)
             else:
-                return p
+                slot = self.index.get(tok)
+                if slot is None:
+                    raise _Fail(i, f"unknown variable {tok!r}")
+                d = {self.units[slot]: ONE}
+                i += 1
+        elif tok == "(":
+            d, i = self.expr(i + 1)
+            if toks[i] != ")":
+                raise _found(toks, i, "')'")
+            i += 1
+        else:
+            raise _found(toks, i, "a number, variable or '('")
+        if toks[i] != "^":
+            return d, i
+        if not toks[i + 1].isdecimal():
+            raise _found(toks, i + 1, "a non-negative integer exponent")
+        return _power(d, int(toks[i + 1]), self.zero), i + 2
 
-    def term(self):
-        p = self.unary()
-        while True:
-            kind, val, line, col = self.peek()
-            if val == "*":
-                self.advance()
-                p = p * self.unary()
-            elif val == "/":
-                self.advance()
-                q = self.unary()
-                p = self._divide(p, q, line, col)
-            else:
-                return p
-
-    def _divide(self, p, q, line, col):
-        if q.is_constant():
-            c = q.constant_value()
-            if not c:
-                raise ParseError("division by zero", line, col)
-            return p * (ONE / c)
-        if self.resolve_division is not None:
-            return self.resolve_division(p, q, line, col)
-        raise ParseError("division by a non-constant polynomial", line, col)
-
-    def unary(self):
-        kind, val, _, _ = self.peek()
-        if val == "-":
-            self.advance()
-            return -self.unary()
-        if val == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _, _ = self.peek()
-        if val == "^":
-            self.advance()
-            kind, val, line, col = self.peek()
-            if kind != "num":
-                raise ParseError(f"found {val or 'end of input'!r}", line, col,
-                                 expected="a non-negative integer exponent")
-            self.advance()
-            return base ** int(val)
-        return base
-
-    def atom(self):
-        kind, val, line, col = self.advance()
-        if kind == "num":
-            return Polynomial.constant(self.vars, int(val))
-        if kind == "name":
-            nxt = self.peek()
-            if nxt[1] == "(":
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                if self.resolve_call is None:
-                    raise ParseError(f"unknown function {val!r}", line, col)
-                return self.resolve_call(val, arg, line, col)
-            if val in self.vars:
-                return Polynomial.variable(self.vars, val)
-            raise ParseError(f"unknown variable {val!r}", line, col)
-        if val == "(":
-            p = self.expr()
-            self.expect(")")
-            return p
-        raise ParseError(f"found {val or 'end of input'!r}", line, col,
-                         expected="a number, variable or '('")
+    def call(self, at):
+        toks = self.toks
+        arg, i = self.expr(at + 2)
+        if toks[i] != ")":
+            raise _found(toks, i, "')'")
+        if self.resolve_call is None:
+            raise _Fail(at, f"unknown function {toks[at]!r}")
+        p = self.resolve_call(toks[at], self.polynomial(arg), *self.where(at))
+        return dict(p.coeffs), i + 1
 
 
 def parse_polynomial(text, vars, *, line=1, col=1, resolve_call=None, resolve_division=None):
     """Parse the polynomial text grammar: integers, rationals a/b, variables,
-    + - * ^ and parentheses; whitespace insignificant."""
-    tokens = tokenize_expression(text, line, col)
-    parser = _ExprParser(tokens, vars, resolve_call, resolve_division)
-    return parser.parse()
+    + - * ^ and parentheses; whitespace insignificant.  Errors are ParseErrors
+    positioned in text, which starts at (line, col); a character that starts
+    no token is reported before anything else."""
+    parser = _Descent(text, vars, line, col, resolve_call, resolve_division)
+    toks = parser.toks
+    try:
+        d, i = parser.expr(0)
+        if toks[i]:
+            raise _Fail(i, f"trailing input {toks[i]!r}")
+    except (_Fail, ValueError, RecursionError) as err:
+        # any failure, a hook's ParseError included, yields to a character
+        # that starts no token
+        bad = _BAD_CHAR_RE.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}",
+                             *_position(text, bad.start(), line, col)) from None
+        if not isinstance(err, _Fail):
+            raise
+        raise ParseError(err.message, *parser.where(err.at), err.expected) from None
+    # a compact copy: d may have grown and shed terms in place
+    return Polynomial(vars, dict(d), _clean=False)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import polyaccess.analysis
 from polyaccess import (
     CapReached,
     Ideal,
@@ -25,6 +26,7 @@ from polyaccess import (
 from polyaccess.analysis import AnalysisSession
 from polyaccess.vectorfields import new_brackets, ray_key
 from polyaccess.rationals import Q
+from test_acceptance import load
 
 V2 = VarTable(("x1", "x2"))
 V3 = VarTable(("x1", "x2", "x3"))
@@ -86,6 +88,24 @@ class TestGenericTest:
         assert res.rank == 0
         assert res.verdict == "nowhere accessible"
         assert [(r.family_size, r.generic_rank) for r in res.records] == [(0, 0), (0, 0)]
+
+    def test_stable_depths_reuse_the_rank(self, monkeypatch):
+        """Past a depth that retains no column the matrix is the one before,
+        so its rank is reused, not sampled again: the unicycle lift samples
+        depths 0 and 1 only, and every depth still reports its family size."""
+        calls = 0
+        original = polyaccess.analysis.generic_rank
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(polyaccess.analysis, "generic_rank", counted)
+        res = AnalysisSession(load("unicycle").system).generic("accessibility")
+        assert [(r.depth, r.family_size, r.generic_rank) for r in res.records] == [
+            (0, 2, 2), (1, 3, 3), (2, 3, 3), (3, 3, 3), (4, 3, 3)]
+        assert calls == 2
 
 
 class TestExactIndex:

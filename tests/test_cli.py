@@ -326,9 +326,9 @@ class TestOneSessionPerRun:
 
     @pytest.mark.parametrize("name, bases, adjoins", [
         ("planar", 18, 10),
-        ("circle3d", 23, 19),
-        ("unicycle", 11, 2),
-        ("pendulum", 36, 38),
+        ("circle3d", 22, 19),
+        ("unicycle", 9, 2),
+        ("pendulum", 35, 38),
     ])
     def test_engine_calls(self, monkeypatch, capsys, name, bases, adjoins):
         """The generic test, index search, bound and rank read one module

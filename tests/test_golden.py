@@ -1,7 +1,8 @@
 """Golden output: `--format structured` and `--format text` of every command
 on the shipped demo systems, the command line's help at 80 columns
-(cli_help.txt), and the exact index search over the random systems of seeds
-0-399 (sweep_answers.txt), compared byte for byte with the files in
+(cli_help.txt), the exact index search over the random systems of seeds
+0-399 (sweep_answers.txt) and the outcome of parse_polynomial on random
+strings (parse_outcomes.txt), compared byte for byte with the files in
 tests/golden/.
 
 An intended output change regenerates the files with
@@ -11,11 +12,20 @@ An intended output change regenerates the files with
 import contextlib
 import io
 import os
+import random
+import re
 from pathlib import Path
 
 import pytest
 
-from polyaccess import exact_index_analysis, stabilize_chain
+from polyaccess import (
+    ParseError,
+    Polynomial,
+    VarTable,
+    exact_index_analysis,
+    parse_polynomial,
+    stabilize_chain,
+)
 from polyaccess.cli import main
 from test_acceptance import random_system
 
@@ -114,6 +124,83 @@ def test_sweep_answers():
     assert _sweep_answers() == (GOLDEN / "sweep_answers.txt").read_text()
 
 
+# pieces of the random parser inputs: known and unknown names, numbers, every
+# operator, blanks, newlines, a call and a character no token matches
+PIECES = ("x1", "x2", "x3", "y", "sin", "0", "1", "2", "3", "+", "-", "*", "/", "^",
+          "(", ")", " ", "  ", "\n", "$")
+PARSE_VARS = VarTable(("x1", "x2", "x3", "z"))
+
+
+def _random_expression(rng, depth=0):
+    """A well-formed expression over PIECES, with blanks and newlines."""
+    roll = rng.random()
+    if depth > 2 or roll < 0.35:
+        return rng.choice(("x1", "x2", "x3", "y", "0", "1", "2", "3"))
+    if roll < 0.7:
+        op = rng.choice(("+", "-", "*", "/", " + ", " - ", "*\n"))
+        return _random_expression(rng, depth + 1) + op + _random_expression(rng, depth + 1)
+    wrap = rng.choice(("({})", "-{}", "{}^2", "{}^3", "sin({})", " ( {} ) "))
+    return wrap.format(_random_expression(rng, depth + 1))
+
+
+def _parse_inputs(count=2400):
+    """Derandomized parser inputs: half random strings of PIECES, half
+    well-formed expressions, of which half get one piece inserted, deleted
+    or replaced.  Exponents stay below 10, so every parse is quick."""
+    rng = random.Random(2021)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 10)))
+        else:
+            text = _random_expression(rng)
+            if rng.random() < 0.5:
+                k = rng.randint(0, len(text))
+                cut = rng.choice((0, 0, 1))
+                text = text[:k] + rng.choice(("",) + PIECES) + text[k + cut:]
+        if not re.search(r"\d\d\d|\^\s*\d\d", text):
+            out.append(text)
+    return out
+
+
+def _hooks():
+    """Call and division hooks in the shape of the system file's: sin of a
+    variable and division by a polynomial of at most two terms resolve to z,
+    anything else is rejected at the position given."""
+
+    def call(name, arg, line, col):
+        if name != "sin" or len(arg.coeffs) != 1 or arg.total_degree() != 1:
+            raise ParseError(f"cannot resolve {name}({arg})", line, col,
+                             expected="sin of one variable")
+        return Polynomial.variable(PARSE_VARS, "z")
+
+    def division(num, den, line, col):
+        if len(den.coeffs) > 2:
+            raise ParseError(f"cannot divide by {den}", line, col)
+        return num * Polynomial.variable(PARSE_VARS, "z")
+
+    return {"resolve_call": call, "resolve_division": division}
+
+
+def _parse_outcomes():
+    """One line per input, parsed at line 3, column 7, half of each kind of
+    input with hooks: the polynomial, or the ParseError's line, column,
+    expected and message."""
+    lines = []
+    for k, text in enumerate(_parse_inputs()):
+        hooks = _hooks() if k % 4 >= 2 else {}
+        try:
+            outcome = f"= {parse_polynomial(text, PARSE_VARS, line=3, col=7, **hooks)}"
+        except ParseError as e:
+            outcome = f"! {e.line}\t{e.col}\t{e.expected!r}\t{e}"
+        lines.append(f"{text!r}\t{'hooks' if hooks else 'plain'}\t{outcome}\n")
+    return "".join(lines)
+
+
+def test_parse_outcomes():
+    assert _parse_outcomes() == (GOLDEN / "parse_outcomes.txt").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, command, extra in CASES:
@@ -122,3 +209,4 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     (GOLDEN / "cli_help.txt").write_text(_help_text())
     (GOLDEN / "sweep_answers.txt").write_text(_sweep_answers())
+    (GOLDEN / "parse_outcomes.txt").write_text(_parse_outcomes())

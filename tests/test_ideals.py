@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import signal
+import time
 
 import pytest
 import sympy
@@ -25,8 +27,10 @@ from polyaccess import (
     radical_monomial,
     real_radical_restricted,
 )
+from polyaccess.analysis import AnalysisSession
 from polyaccess.ideals import _structural_real_radical_shape, buchberger
 from polyaccess.rationals import Q
+from test_acceptance import random_system
 
 V2 = VarTable(("x1", "x2"))
 V3 = VarTable(("x1", "x2", "x3"))
@@ -557,6 +561,14 @@ class TestRealRadical:
             ideal(("x1*x2^2 + 1/3*x1", "x2^3 + 1/3*x2", "x1^2 - 2/3*x1 + x2")))
         assert r.equals(ideal(("x1", "x2")))
 
+    def test_sum_built_on_the_input_basis(self):
+        """J's basis is I's basis with the supported pieces inserted, not a
+        basis built from scratch."""
+        I = ideal(("x1^2*x2", "x1*x2^2", "x1^4"))
+        r = real_radical_restricted(I)
+        assert r.equals(ideal(("x1",)))
+        assert r._seed is I._basis()
+
     def test_improper_passes(self):
         """The unit ideal is its own real radical."""
         r = real_radical_restricted(ideal(("x1", "x1 - 1")))
@@ -592,3 +604,26 @@ class TestInvariance:
             assert result.ideal.member(g)
         assert result.ideal.equals(ideal(("x1", "x2")))
         assert len(result.rounds) == 1
+
+    def test_frontier_random_system_5(self):
+        """The closure of random system 5's k* minor ideal reaches the unit
+        ideal after 2 rounds, well within the ceiling.  Differentiating the
+        whole basis every round ran past 25 s on it."""
+        session = AnalysisSession(random_system(5))
+        k = session.generic("accessibility").k_star
+        minors = session.minors("accessibility", k, session.system.dimension)
+
+        def expire(signum, frame):
+            raise TimeoutError("the closure ran past its 5 s ceiling")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        start = time.monotonic()
+        try:
+            result = invariant_closure(minors, session.system.operators())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 2.0
+        assert len(result.rounds) == 2
+        assert not result.ideal.is_proper()

@@ -109,6 +109,14 @@ class TestImmersionMap:
         rels = [str(r) for r in asys.map.relation_generators()]
         assert rels == ["z5^2 + z6^2 - 1", "-z5^2*z7 + 2*z7 - 1"]
 
+    def test_algebra_built_once_per_map(self):
+        """The relations, their ideal (so its basis) and the Jacobian rows
+        are built once per map and shared by every caller."""
+        m = pendulum_system().map
+        assert m.relation_generators() is m.relation_generators()
+        assert m.relation_ideal() is m.relation_ideal()
+        assert jacobian(m) is jacobian(m)
+
 
 class TestDerive:
     def test_intro_lift(self):

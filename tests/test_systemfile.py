@@ -1,8 +1,13 @@
 """System description files: grammar, immersion blocks, options, rendering."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from polyaccess import ParseError, parse_file, render_file
+from polyaccess import ParseError, Polynomial, parse_file, render_file
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PLANAR = """\
 # planar system
@@ -208,6 +213,24 @@ class TestRoundTrip:
                 assert second.immersion.entries == first.immersion.entries
                 assert second.immersion.target_vars == first.immersion.target_vars
             assert render_file(second) == rendered
+
+    def test_sweep_files_survive(self):
+        """The benchmark's 400 random system files parse to their term
+        lists, and parse(render(parse(f))) gives equal systems."""
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for seed in range(400):
+            first = parse_file(workloads.system_file(seed))
+            system = first.system
+            _, drift, inputs = workloads.random_system(seed)
+            for field, terms in zip((system.drift,) + system.inputs, [drift] + inputs):
+                assert field.components == tuple(Polynomial.from_terms(system.vars, t)
+                                                 for t in terms)
+            second = parse_file(render_file(first))
+            assert second.source_vars == first.source_vars
+            assert second.system.drift == system.drift
+            assert second.system.inputs == system.inputs
 
     def test_render_is_stable(self):
         """Rendering the same parse twice is byte-identical."""
