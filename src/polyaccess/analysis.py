@@ -72,7 +72,6 @@ class GenericTestResult(NamedTuple):
     mode: str
     rank: int
     verdict: str
-    depth: int  # depth at which the rank was reached / search stopped
     k_star: int  # first depth of full generic rank; None if never full
     records: tuple
 
@@ -89,7 +88,6 @@ class AnalysisReport(NamedTuple):
     threshold: int = None  # minor size for rank-threshold analyses
     planar_depth_bound: int = None  # 6d^2 - 2d + 2 when n = 2
     notes: tuple = ()
-    matrix: object = None  # for sample_check; compared by identity
 
     def singular_generators(self):
         if self.singular_ideal is None:
@@ -280,8 +278,8 @@ class AnalysisSession:
             records.append(ChainRecord(depth=depth, family_size=self._family_size(mode, depth),
                                        generic_rank=rank))
             if rank == n:
-                return GenericTestResult(mode, n, VERDICT_GENERIC, depth, depth, tuple(records))
-        return GenericTestResult(mode, best, VERDICT_NOWHERE, n - 1, None, tuple(records))
+                return GenericTestResult(mode, n, VERDICT_GENERIC, depth, tuple(records))
+        return GenericTestResult(mode, best, VERDICT_NOWHERE, None, tuple(records))
 
     @_once
     def _index_search(self, mode):
@@ -301,14 +299,13 @@ class AnalysisSession:
             if unsupported:
                 trace.append(record)
                 return self._report(
-                    mode, ROUTE_EXACT, None, trace=trace, matrix=self.matrix(mode, k),
+                    mode, ROUTE_EXACT, None, trace=trace,
                     notes=(f"real radical unsupported at depth {k}: {rr.reason}",))
             inv = is_invariant(rr, ops)
             if inv.invariant:
                 trace.append(record)
                 kind = INDEX_EXACT_R if mode == "accessibility" else INDEX_EXACT_L
-                return self._report(mode, ROUTE_EXACT, rr, kind, k, trace,
-                                    matrix=self.matrix(mode, k))
+                return self._report(mode, ROUTE_EXACT, rr, kind, k, trace)
             trace.append(record._replace(invariance_witness=(
                 f"L along {inv.field_label} of {inv.generator} leaves the ideal "
                 f"(residue {inv.residue})"
@@ -333,7 +330,6 @@ class AnalysisSession:
             singular_ideal=singular,
             chain_trace=report.chain_trace + rounds,
             notes=report.notes + ("index undecided; singular set computed by invariant closure",),
-            matrix=self._closure_matrix(mode),
         )
 
     @_once
@@ -352,15 +348,6 @@ class AnalysisSession:
         return result.ideal, rounds, (
             f"invariant closure stabilized after {len(result.rounds)} enlargement rounds",)
 
-    def _closure_matrix(self, mode):
-        # the singular ideal describes the limit locus, so the matrix shipped
-        # for sampling must realize the limit distribution, not the depth-q
-        # family: the stabilized module columns span the limit fiber pointwise
-        try:
-            return self.limit_matrix(mode)
-        except CapReached:
-            return None
-
     def closure(self, mode):
         """Singular set as the variety of the invariant closure of the minor
         ideal at the first full-generic-rank depth; makes no index claim."""
@@ -373,7 +360,7 @@ class AnalysisSession:
                            minor_generators=I_q.groebner_basis())
         singular, rounds, notes = self._closure(mode)
         return self._report(mode, ROUTE_CLOSURE, singular, trace=gt.records + (head,) + rounds,
-                            notes=notes, matrix=self._closure_matrix(mode))
+                            notes=notes)
 
     def bound(self, mode):
         """Upper bound on the index from the stabilized module chain; the
@@ -386,7 +373,7 @@ class AnalysisSession:
                              module_gb_size=chain.basis_sizes[depth])
                  for depth, gen in enumerate(chain.rounds)]
         return self._report(mode, ROUTE_MODULE, singular, _bound_kind(mode), chain.r_hat, trace,
-                            rank=rank, matrix=self.limit_matrix(mode))
+                            rank=rank)
 
     def rank_l(self, mode, l):
         """Locus where the bracket family's rank stays below l, taken at the
@@ -405,7 +392,7 @@ class AnalysisSession:
         trace = [ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen))
                  for depth, gen in enumerate(chain.rounds)]
         return self._report(mode, ROUTE_RANK_L, singular, _bound_kind(mode), chain.r_hat, trace,
-                            rank=rank, threshold=l, matrix=M)
+                            rank=rank, threshold=l)
 
     def strong(self):
         """Strong accessibility: strong-mode generic test and index, with the
@@ -436,9 +423,7 @@ class AnalysisSession:
             singular = plain.singular_ideal
         return self._report(
             "strong", route, singular, index_kind, index_value, strong.chain_trace,
-            notes=tuple(notes),
-            matrix=strong.matrix if strong.matrix is not None else plain.matrix,
-        )
+            notes=tuple(notes))
 
 
 def _bound_kind(mode):
@@ -488,18 +473,23 @@ class SampleDiagnostics(NamedTuple):
     mismatches: tuple  # points where vanishing and low rank disagree
 
 
-def sample_check(report, trials=50, seed=1, extra_points=()):
+def sample_check(report, matrix, trials=50, seed=1, extra_points=()):
     """Numeric cross-validation: at integer points sampled from [-50, 50]
     the evaluated bracket matrix drops below the rank threshold exactly
     where every singular generator vanishes.  Extra points let callers
-    probe the variety itself."""
-    if report.matrix is None:
-        raise ValueError("report carries no bracket matrix to sample")
-    M = report.matrix
-    threshold = report.threshold or M.nrows
+    probe the variety itself.
+
+    The matrix must be one whose rank drops exactly on the report's set.
+    Every route's singular ideal describes the limit locus, so the
+    stabilized chain's matrix, session.limit_matrix(mode), serves for all
+    of them: its columns span the limit fiber pointwise.  At an exact index
+    k the depth-k matrix, session.matrix(mode, k), serves as well."""
+    if matrix is None:
+        raise ValueError("no bracket matrix to sample")
+    threshold = report.threshold or matrix.nrows
     gens = report.singular_generators()
     rng = Random(seed)
-    points = [tuple(rng.randint(-50, 50) for _ in range(len(M.vars)))
+    points = [tuple(rng.randint(-50, 50) for _ in range(len(matrix.vars)))
               for _ in range(trials)]
     points.extend(tuple(p) for p in extra_points)
     mismatches = []
@@ -507,7 +497,7 @@ def sample_check(report, trials=50, seed=1, extra_points=()):
     for p in points:
         point = [Q(v) for v in p]
         vanish = all(g.evaluate(point) == 0 for g in gens)
-        low = rational_rank(M.evaluate(point)) < threshold
+        low = rational_rank(matrix.evaluate(point)) < threshold
         if vanish:
             on_variety += 1
         if vanish != low:

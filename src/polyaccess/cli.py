@@ -304,7 +304,7 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         text = Path(args.file).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
         return 2
     try:

@@ -130,8 +130,8 @@ def _add_into(acc, d, negate):
 
 
 def _times(a, b):
-    """a * b on coefficient dicts, in Polynomial.__mul__'s term order; a
-    single term multiplies the other factor directly."""
+    """a * b on coefficient dicts, as Polynomial.__mul__ multiplies; a single
+    term multiplies the other factor directly."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
@@ -222,12 +222,6 @@ class Polynomial:
     def is_constant(self):
         return not self.coeffs or (len(self.coeffs) == 1 and not any(next(iter(self.coeffs))))
 
-    def constant_value(self):
-        if not self.coeffs:
-            return ZERO
-        mono = (0,) * len(self.vars)
-        return self.coeffs.get(mono, ZERO)
-
     def total_degree(self):
         if not self.coeffs:
             return -1
@@ -302,12 +296,7 @@ class Polynomial:
                 return Polynomial.zero(self.vars)
             return Polynomial(self.vars, {m: v * c for m, v in self.coeffs.items()}, _clean=False)
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        res = {}
-        _mul_into(res, a, b)
-        return Polynomial(self.vars, res, _clean=False)
+        return Polynomial(self.vars, _times(self.coeffs, other.coeffs), _clean=False)
 
     __rmul__ = __mul__
 
@@ -371,8 +360,6 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            if isinstance(other, int):
-                return self.is_constant() and self.constant_value() == other
             return NotImplemented
         return self.vars == other.vars and self.coeffs == other.coeffs
 
@@ -421,8 +408,6 @@ def exact_div(p, d):
     if p.is_zero():
         return p
     p._check(d)
-    if d.is_constant():
-        return p * (ONE / d.constant_value())
     dc, dm = d.lt()
     work = dict(p.coeffs)
     quot = {}

@@ -306,7 +306,7 @@ def _parse_immersion(block, source_vars):
             raise ParseError(
                 "relation does not follow from the declared entries", lineno, col,
             )
-    return imap, aliased
+    return imap, aliased, hooks
 
 
 def _single_var_index(p):
@@ -335,14 +335,10 @@ def parse_file(text, name=None, overrides=None):
     v_line, v_rest = sec.vars
     source_vars = _identifier_list(v_rest, v_line, 1, "state variable")
     n = len(source_vars)
-    imap = aliased = None
+    imap = aliased = call_hook = div_hook = None
     if sec.immersion is not None:
-        imap, aliased = _parse_immersion(sec.immersion, source_vars)
+        imap, aliased, (call_hook, div_hook) = _parse_immersion(sec.immersion, source_vars)
     parse_vars = aliased if aliased is not None else source_vars
-    call_hook = div_hook = None
-    if imap is not None:
-        call_hook, div_hook = _lookup_hooks(imap.entries, imap.source_vars, aliased,
-                                            imap.target_vars)
 
     def parse_components(lineno, col, text_, label):
         parts = _split_components(text_, lineno, col)

@@ -276,30 +276,37 @@ def test_criterion_09_bracket_identities():
 def test_criterion_10_sampled_rank_consistency():
     """On every regression system the evaluated bracket matrix drops rank
     exactly where the singular generators vanish, with on-variety probes."""
-    planar = exact_index_analysis(load("planar").system)
-    diag = sample_check(planar, trials=50, seed=2, extra_points=((0, 0),))
+    session = AnalysisSession(load("planar").system)
+    planar = session.index("accessibility")
+    diag = sample_check(planar, session.matrix("accessibility", planar.index_value),
+                        trials=50, seed=2, extra_points=((0, 0),))
     assert diag.checked >= 50 and diag.mismatches == ()
     assert diag.on_variety >= 1
 
-    circle = closure_singular_analysis(load("circle3d").system)
+    session = AnalysisSession(load("circle3d").system)
+    circle = session.closure("accessibility")
     on_cylinder = []
     for s, tn in ((0, 0), (3, 1), (-2, 2), (5, -3)):
         t = Q(tn, 2)
         den = 1 + t * t
         on_cylinder.append((Q(s), (1 - t * t) / den, 2 * t / den))
-    diag = sample_check(circle, trials=50, seed=3, extra_points=on_cylinder)
+    diag = sample_check(circle, session.limit_matrix("accessibility"),
+                        trials=50, seed=3, extra_points=on_cylinder)
     assert diag.checked >= 50 and diag.mismatches == ()
     assert diag.on_variety >= len(on_cylinder)
 
-    unicycle = rank_l_analysis(load("unicycle").immersed.system, 3)
-    diag = sample_check(unicycle, trials=50, seed=4,
+    session = AnalysisSession(load("unicycle").immersed.system)
+    unicycle = session.rank_l("accessibility", 3)
+    diag = sample_check(unicycle, session.limit_matrix("accessibility"), trials=50, seed=4,
                         extra_points=((1, 2, 3, 0, 0), (-2, 5, 0, 0, 0)))
     assert diag.checked >= 50 and diag.mismatches == ()
     assert diag.on_variety >= 2
 
-    pendulum = rank_l_analysis(load("pendulum").immersed.system, 4)
+    session = AnalysisSession(load("pendulum").immersed.system)
+    pendulum = session.rank_l("accessibility", 4)
     probes = ((0, 0, 0, 0, 0, 1, Q(1, 2)), (1, -2, 3, 0, 0, 4, 5),
               (1, 1, 1, 2, 3, 4, 0), (0, 1, 0, 5, 0, 0, 7))
-    diag = sample_check(pendulum, trials=50, seed=5, extra_points=probes)
+    diag = sample_check(pendulum, session.limit_matrix("accessibility"),
+                        trials=50, seed=5, extra_points=probes)
     assert diag.checked >= 50 and diag.mismatches == ()
     assert diag.on_variety >= len(probes)

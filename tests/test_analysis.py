@@ -26,7 +26,7 @@ from polyaccess import (
 from polyaccess.analysis import AnalysisSession
 from polyaccess.vectorfields import new_brackets, ray_key
 from polyaccess.rationals import Q
-from test_acceptance import load
+from test_acceptance import load, random_system
 
 V2 = VarTable(("x1", "x2"))
 V3 = VarTable(("x1", "x2", "x3"))
@@ -198,6 +198,28 @@ class TestClosure:
         seed_note = closure_singular_analysis(planar()).notes
         assert any("2 enlargement rounds" in n for n in seed_note)
 
+    def test_reads_no_stable_chain(self, monkeypatch):
+        """The closure, and the index search when it routes to the closure,
+        never run the module chain to r-hat: with chain raising, each gives
+        the report it gives without.  rnd95's chain does not stabilize
+        within seconds; its closure takes well under one."""
+        circle3d = load("circle3d").system
+        cases = [(closure_singular_analysis, circle3d),
+                 (closure_singular_analysis, random_system(5)),
+                 (exact_index_analysis, circle3d),
+                 (exact_index_analysis, random_system(95))]
+        expected = [analyse(system) for analyse, system in cases]
+
+        def refuse(self, mode):
+            raise AssertionError("the closure route read the stable chain")
+
+        monkeypatch.setattr(AnalysisSession, "chain", refuse)
+        for (analyse, system), before in zip(cases, expected):
+            after = analyse(system)
+            assert after.route == "invariant-closure"
+            assert after._replace(singular_ideal=None) == before._replace(singular_ideal=None)
+            assert after.singular_generators() == before.singular_generators()
+
 
 class TestBound:
     def test_planar(self):
@@ -231,7 +253,6 @@ class TestBound:
         assert report.singular_generators() == ()
         assert (report.index_kind, report.index_value) == ("upper bound r-hat", 0)
         assert [rec.module_gb_size for rec in report.chain_trace] == [0]
-        assert report.matrix is None
 
     def test_generator_on_an_earlier_ray(self):
         """A generator on an earlier generator's ray is not a column: the
@@ -279,8 +300,7 @@ class TestSession:
                  exact_index_analysis(circle()), closure_singular_analysis(circle()),
                  rank_l_analysis(circle(), 2)]
         for a, b in zip(shared, fresh):
-            assert (a._replace(singular_ideal=None, matrix=None)
-                    == b._replace(singular_ideal=None, matrix=None))
+            assert a._replace(singular_ideal=None) == b._replace(singular_ideal=None)
             assert a.singular_generators() == b.singular_generators()
 
 
@@ -350,10 +370,11 @@ class TestRankThreshold:
 
     def test_planar_rank_one(self):
         """The rank-1 locus of the planar system is both axes' intersection."""
-        report = rank_l_analysis(planar(), 1)
+        session = AnalysisSession(planar())
+        report = session.rank_l("accessibility", 1)
         assert report.threshold == 1
         assert report.route == "rank-threshold"
-        diag = sample_check(report, trials=40, seed=3,
+        diag = sample_check(report, session.limit_matrix("accessibility"), trials=40, seed=3,
                             extra_points=((Q(0), Q(0)), (Q(0), Q(5))))
         assert diag.mismatches == ()
 
@@ -377,8 +398,10 @@ class TestRankThreshold:
 class TestSampleCheck:
     def test_planar_clean(self):
         """Vanishing generators exactly track rank drops on samples."""
-        report = exact_index_analysis(planar())
-        diag = sample_check(report, trials=60, seed=1,
+        session = AnalysisSession(planar())
+        report = session.index("accessibility")
+        diag = sample_check(report, session.matrix("accessibility", report.index_value),
+                            trials=60, seed=1,
                             extra_points=((Q(0), Q(0)), (Q(0), Q(7)), (Q(5), Q(0))))
         assert diag.mismatches == ()
         assert diag.checked >= 60
@@ -387,10 +410,12 @@ class TestSampleCheck:
         assert diag.on_variety >= 1
 
     def test_requires_matrix(self):
-        """Reports without a stabilized matrix cannot be sampled."""
-        report = exact_index_analysis(rank_deficient())
+        """A zero chain has no limit matrix, so its report cannot be sampled."""
+        session = AnalysisSession(all_zero())
+        report = session.bound("accessibility")
+        assert session.limit_matrix("accessibility") is None
         with pytest.raises(ValueError):
-            sample_check(report)
+            sample_check(report, session.limit_matrix("accessibility"))
 
 
 class TestPlanarBound:

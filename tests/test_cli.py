@@ -214,6 +214,13 @@ class TestExitCodes:
         assert main(["index", "/nonexistent/x.sys"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        """A file that is not UTF-8 text exits 2 with an error, not a traceback."""
+        f = tmp_path / "utf16.sys"
+        f.write_bytes(b"\xff\xfev\x00a\x00r\x00s\x00 \x00x\x001\x00")
+        assert main(["index", str(f)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {f}: ")
+
     def test_parse_error(self, tmp_path, capsys):
         """Grammar errors exit 2 and point at the offending line."""
         f = tmp_path / "bad.sys"

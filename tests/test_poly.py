@@ -96,6 +96,13 @@ class TestArithmetic:
         assert a * z == z
         assert not z
 
+    def test_equals_polynomials_only(self):
+        """A constant polynomial is not equal to the number, so equality
+        agrees with hashing: a set keeps both."""
+        one = Polynomial.constant(V3, 1)
+        assert one != 1 and one != Q(1)
+        assert len({1, one}) == 2
+
     def test_derivative_leibniz(self):
         """d(ab) = da b + a db on random pairs."""
         rng = random.Random(5)
