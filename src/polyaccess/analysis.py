@@ -383,12 +383,8 @@ class AnalysisSession:
         if not 1 <= l <= n:
             raise ValueError(f"rank threshold {l} outside 1..{n}")
         chain = self.chain(mode)
-        M = self.limit_matrix(mode)
         rank = self.limit_rank(mode)
-        if M is not None and min(M.nrows, M.ncols) >= l:
-            singular = self.minors(mode, chain.r_hat, l)
-        else:
-            singular = Ideal(self.system.vars, ())
+        singular = self.minors(mode, chain.r_hat, l) if rank >= l else Ideal(self.system.vars, ())
         trace = [ChainRecord(depth=depth, retained_labels=tuple(v.label for v in gen))
                  for depth, gen in enumerate(chain.rounds)]
         return self._report(mode, ROUTE_RANK_L, singular, _bound_kind(mode), chain.r_hat, trace,

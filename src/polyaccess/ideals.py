@@ -119,8 +119,8 @@ def squarefree_part(p):
     """Monic product of the distinct irreducible factors of p (p nonzero).
 
     A non-constant p is first tried on one fixed line x = a + b*t modulo the
-    prime P = poly._prime(0) (poly._squarefree_by_image).  Say p = f^2*g
-    over Q with f not constant.  Scaled to integer coefficients, p is
+    prime P = poly._P (poly._squarefree_by_image).  Say p = f^2*g over Q
+    with f not constant.  Scaled to integer coefficients, p is
     A = c*f^2*g with c an integer and f, g primitive over Z (Gauss's
     lemma).  A's leading form, its homogeneous part of top degree D, is c
     times the product of those of f^2 and g, and its value at b is the t^D

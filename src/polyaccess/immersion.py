@@ -35,14 +35,17 @@ class Entry:
         self.arg = arg
         self.expr = expr
 
-    def describe(self, source_vars):
+    def describe(self, names):
+        """The entry's right-hand side written over `names`, a table of the
+        target state's length whose first names are the source coordinates'.
+        Coordinate, sin and cos entries read only those, so the source table
+        serves for them."""
         if self.kind == "coordinate":
-            return source_vars.names[self.arg]
-        if self.kind == "polynomial":
-            return str(self.expr)
+            return names.names[self.arg]
         if self.kind in ("sin", "cos"):
-            return f"{self.kind}({source_vars.names[self.arg]})"
-        return f"1/({self.expr})"
+            return f"{self.kind}({names.names[self.arg]})"
+        expr = Polynomial(names, self.expr.coeffs, _clean=False)
+        return str(expr) if self.kind == "polynomial" else f"1/({expr})"
 
     def __eq__(self, other):
         if not isinstance(other, Entry):

@@ -140,8 +140,8 @@ def rational_rank(rows):
     """
     M = []
     for row in rows:
-        den = lcm(*[int(a.denominator) for a in row])
-        M.append([int(a.numerator) * (den // int(a.denominator)) for a in row])
+        den = lcm(*[a.denominator for a in row])
+        M.append([a.numerator * (den // a.denominator) for a in row])
     n = len(M)
     rank, prev = 0, 1
     for col in range(len(M[0]) if n else 0):
@@ -171,9 +171,9 @@ def _integer_entries(matrix):
     of its denominators, which leaves the rank at every point unchanged."""
     rows = [[list(e.coeffs.items()) for e in row] for row in matrix.entries]
     for j in range(matrix.ncols):
-        den = lcm(*[int(c.denominator) for row in rows for _, c in row[j]])
+        den = lcm(*[c.denominator for row in rows for _, c in row[j]])
         for row in rows:
-            row[j] = [(m, int(c.numerator) * (den // int(c.denominator))) for m, c in row[j]]
+            row[j] = [(m, c.numerator * (den // c.denominator)) for m, c in row[j]]
     return rows
 
 

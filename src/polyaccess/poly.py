@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import cache, lru_cache
-from math import isqrt, lcm
+from math import lcm
 from operator import add, le, sub
 
 from .errors import ParseError
@@ -429,78 +429,67 @@ def exact_div(p, d):
     return Polynomial(p.vars, quot, _clean=False)
 
 
-@cache
-def _prime(i):
-    """Prime i of the fixed list of primes below 2**30, descending."""
-    top = _prime(i - 1) if i else 1 << 30
-    return next(n for n in range(top - 1, 1, -1) if all(n % d for d in range(2, isqrt(n) + 1)))
-
-
-def _point(i, j):
-    """Evaluation point j of variable i, from a fixed list per variable."""
-    return 7919 * (i + 1) + 1009 * j
-
-
-def _udivmod(a, b, P):
-    """Quotient and remainder over Z/P of dense univariate polynomials:
-    coefficient lists, constant term first, with a nonzero last entry."""
-    a, inv, n = a[:], pow(b[-1], -1, P), len(b) - 1
-    quo = [0] * max(len(a) - n, 0)
-    while len(a) > n:
-        s = len(a) - 1 - n
-        c = quo[s] = a.pop() * inv % P
-        for i in range(n):
-            a[s + i] = (a[s + i] - c * b[i]) % P
-    while a and not a[-1]:
-        a.pop()
-    return quo, a
-
-
-def _ugcd(a, b, P):
-    """Monic gcd, by Euclid's algorithm."""
-    while b:
-        a, b = b, _udivmod(a, b, P)[1]
-    inv = pow(a[-1], -1, P)
-    return [c * inv % P for c in a]
+# the largest prime below 2**30: the modulus of the squarefree certificate
+_P = 1073741789
 
 
 def _line(i):
     """Point and direction of variable i on the line of the squarefree
     certificate: x_i = a + b*t."""
-    return _point(i, 0), _point(i, 1)
+    a = 7919 * (i + 1)
+    return a, a + 1009
+
+
+def _urem(a, b, P):
+    """Remainder over Z/P of dense univariate polynomials: coefficient
+    lists, constant term first, with a nonzero last entry."""
+    a, inv, n = a[:], pow(b[-1], -1, P), len(b) - 1
+    while len(a) > n:
+        s = len(a) - 1 - n
+        c = a.pop() * inv % P
+        for i in range(n):
+            a[s + i] = (a[s + i] - c * b[i]) % P
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _coprime(a, b, P):
+    """True when a and b are coprime over Z/P, by Euclid's algorithm."""
+    while b:
+        a, b = b, _urem(a, b, P)
+    return len(a) == 1
 
 
 @lru_cache(maxsize=1 << 12)
 def _monomial_on_line(mono):
-    """Dense coefficients mod _prime(0), constant term first, of the
-    monomial mono on the certificate line x_i = a_i + b_i*t (_line)."""
+    """Dense coefficients mod _P, constant term first, of the monomial mono
+    on the certificate line x_i = a_i + b_i*t (_line)."""
     i = max((i for i, e in enumerate(mono) if e), default=None)
     if i is None:
         return (1,)
     a, b = _line(i)
     rest = _monomial_on_line(mono[:i] + (mono[i] - 1,) + mono[i + 1:])
-    P = _prime(0)
-    return tuple((a * x + b * y) % P for x, y in zip(rest + (0,), (0,) + rest))
+    return tuple((a * x + b * y) % _P for x, y in zip(rest + (0,), (0,) + rest))
 
 
 def _squarefree_by_image(p):
-    """True when the image of p on the certificate line mod _prime(0) keeps
-    the total degree of p and is coprime to its t-derivative, which proves
-    p squarefree (see ideals.squarefree_part).  False decides nothing."""
-    P = _prime(0)
+    """True when the image of p on the certificate line mod _P keeps the
+    total degree of p and is coprime to its t-derivative, which proves p
+    squarefree (see ideals.squarefree_part).  False decides nothing."""
     den = lcm(*(c.denominator for c in p.coeffs.values()))
     h = [0] * (p.total_degree() + 1)
     for m, c in p.coeffs.items():
-        c = int(c.numerator) * (den // int(c.denominator))
+        c = c.numerator * (den // c.denominator)
         for k, v in enumerate(_monomial_on_line(m)):
             h[k] += c * v
-    h = [v % P for v in h]
+    h = [v % _P for v in h]
     if not h[-1]:
         return False
-    # the derivative leads with D*h[D], D the total degree: nonzero mod P
-    # since 0 < D < P
-    dh = [k * c % P for k, c in enumerate(h)][1:]
-    return len(_ugcd(h, dh, P)) == 1
+    # the derivative leads with D*h[D], D the total degree: nonzero mod _P
+    # since 0 < D < _P
+    dh = [k * c % _P for k, c in enumerate(h)][1:]
+    return _coprime(h, dh, _P)
 
 
 # -- text grammar -----------------------------------------------------------

@@ -388,14 +388,8 @@ def immersion_text(parsed):
     imap = parsed.immersion
     alias = parsed.parse_vars
     n = len(parsed.source_vars)
-    entries = {}
-    for name, e in zip(imap.target_vars.names[n:], imap.entries[n:]):
-        if e.kind in ("sin", "cos"):
-            entries[name] = f"{e.kind}({imap.source_vars.names[e.arg]})"
-        elif e.kind == "reciprocal":
-            entries[name] = f"1/({_retag(e.expr, alias)})"
-        else:
-            entries[name] = str(_retag(e.expr, alias))
+    entries = {name: e.describe(alias)
+               for name, e in zip(imap.target_vars.names[n:], imap.entries[n:])}
     relations = [str(_retag(r, alias)) for r in imap.relation_generators()]
     return entries, relations
 

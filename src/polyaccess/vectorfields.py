@@ -135,8 +135,8 @@ def ray_key(field):
     the sign fixed so the largest (position, exponents) term is positive."""
     terms = [((i, m), c) for i, comp in enumerate(field.components)
              for m, c in comp.coeffs.items()]
-    den = lcm(*[int(c.denominator) for _, c in terms])
-    ints = [(t, int(c.numerator) * (den // int(c.denominator))) for t, c in terms]
+    den = lcm(*[c.denominator for _, c in terms])
+    ints = [(t, c.numerator * (den // c.denominator)) for t, c in terms]
     g = gcd(*[c for _, c in ints])
     if max(ints)[1] < 0:
         g = -g

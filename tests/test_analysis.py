@@ -221,6 +221,17 @@ class TestClosure:
             assert after.singular_generators() == before.singular_generators()
 
 
+    def test_improper_minor_ideal(self):
+        """Constant inputs e1 and e2 have the unit 2x2 minor: no real point
+        drops rank, and the closure is the unit ideal."""
+        zero = VectorField([Polynomial.zero(V2)] * 2, "f")
+        system = SystemSpec(V2, zero, [vf(("1", "0"), "g1"), vf(("0", "1"), "g2")])
+        report = closure_singular_analysis(system)
+        assert [str(g) for g in report.singular_generators()] == ["1"]
+        assert report.notes == (
+            "minor ideal improper: no real point drops rank; empty singular set",)
+
+
 class TestBound:
     def test_planar(self):
         """Module chain bound r-hat = 2 matching the exact index."""
@@ -393,6 +404,21 @@ class TestRankThreshold:
         full = rank_l_analysis(planar(), 2)
         bound = bound_analysis(planar())
         assert full.singular_ideal.equals(bound.singular_ideal)
+
+    def test_rank_below_threshold_builds_no_minors(self, monkeypatch):
+        """Inputs x2*e1 and x1*x2*e1 span rank 1 everywhere, so every 2x2
+        minor is zero: the rank-below-2 locus is the whole plane, and no
+        minor ideal is built for it."""
+        zero = VectorField([Polynomial.zero(V2)] * 2, "f")
+        system = SystemSpec(V2, zero, [vf(("x2", "0"), "g1"), vf(("x1*x2", "0"), "g2")])
+
+        def refuse(matrix, size):
+            raise AssertionError("rank_l built minors of a rank-deficient matrix")
+
+        monkeypatch.setattr(polyaccess.analysis, "minor_ideal", refuse)
+        report = rank_l_analysis(system, 2)
+        assert report.generic_rank == 1
+        assert report.singular_generators() == ()
 
 
 class TestSampleCheck:

@@ -174,6 +174,32 @@ class TestTextBranches:
         assert "  certificate: L_X(z4^2 + z5^2 - 1) lies in the relation ideal for X in " \
                "{g1, g2}" in capsys.readouterr().out
 
+    def test_rank_defaults_to_source_dimension(self, tmp_path, capsys):
+        """An immersed file with no rank-threshold option takes l = n, the
+        source dimension: the shipped unicycle without its options block
+        gives the shipped file's document."""
+        shipped = SYSTEMS / "unicycle.sys"
+        text = shipped.read_text()
+        bare = tmp_path / "unicycle.sys"
+        bare.write_text(text[:text.index("options:")])
+        assert main(["rank", str(shipped), "--format", "structured"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["rank", str(bare), "--format", "structured"]) == 0
+        assert capsys.readouterr().out == expected
+        assert json.loads(expected)["threshold"] == 3
+
+    def test_rank_below_source_dimension(self, capsys):
+        """At l = 2 < n the pull-back does not settle the source system, and
+        the text says nothing about it."""
+        assert main(["rank", str(SYSTEMS / "unicycle.sys"), "--l", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "S^{<2}: ⟨z4, z5⟩; r-hat = 1 (upper bound)"
+        assert lines[-3:] == [
+            "pull-back to the image variety:",
+            "  intersection ideal: ⟨1⟩ = ∅",
+            "  empty: yes (algebraic proof: the sum contains 1)",
+        ]
+
 
 class TestStructuredOutput:
     def test_schema_and_fields(self, planar_file, capsys):

@@ -79,6 +79,16 @@ def test_text_output(name, command, extra):
     assert _run(name, command, extra, "text") == _golden_path(name, command, "text").read_text()
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_seed_decides_no_answer(fmt):
+    """The seed moves only the sample points of the certified generic rank,
+    and no report carries them: at --seed 7 every case prints its golden
+    file."""
+    for name, command, extra in CASES:
+        assert (_run(name, command, [*extra, "--seed", "7"], fmt)
+                == _golden_path(name, command, fmt).read_text()), (name, command)
+
+
 def _help_text():
     """`polyaccess --help` and each command's --help, wrapped to the
     terminal width that COLUMNS gives."""

@@ -13,9 +13,8 @@ from polyaccess import ParseError, Polynomial, VarTable, exact_index_analysis, p
 from polyaccess.ideals import poly_gcd, squarefree_part
 from polyaccess.modules import _mv_lt
 from polyaccess.poly import (
+    _P,
     _line,
-    _point,
-    _prime,
     _squarefree_by_image,
     mono_key,
     mono_negkey,
@@ -361,40 +360,39 @@ class TestGcdOracle:
         """The x1-leading coefficient x2 - t of f vanishes at x2 = t, the
         certificate line's point for x2, where f's image is constant: f and
         x1 + x2 are coprime, and f is the gcd of f*(x1 + 1) and f*(x1 + 2)."""
-        t = _point(1, 0)
+        t = _line(1)[0]
         f, g = p(f"(x2 - {t})*x1 + 1"), p("x1 + x2")
         assert gcd_within(f, g) == p("1")
         a, b = f * p("x1 + 1"), f * p("x1 + 2")
         assert gcd_within(a, b) == f.monic()
 
     def test_unlucky_image_point(self):
-        """x1 - x2 and x1 - 2*x2 + t agree at x2 = t, the first image point,
-        so their images there share x1 - t though the pair is coprime."""
-        f, g = p("x1 - x2"), p(f"x1 - 2*x2 + {_point(1, 0)}")
+        """x1 - x2 and x1 - 2*x2 + t agree at x2 = t, the certificate
+        line's point for x2, so their images there share x1 - t though the
+        pair is coprime."""
+        f, g = p("x1 - x2"), p(f"x1 - 2*x2 + {_line(1)[0]}")
         assert gcd_within(f, g) == p("1")
 
     def test_unlucky_evaluation_points(self):
         """f = x1 - x2 and g = x1 - 2*x2 + t agree at x2 = t, where the
-        images of f*g and g^2 have the gcd (x1 - t)^2, for t the first or
-        the second evaluation point of x2; the gcd over Q is g."""
+        images of f*g and g^2 have the gcd (x1 - t)^2, for t the point or
+        the direction of x2's certificate line; the gcd over Q is g."""
         for j in (0, 1):
-            f, g = p("x1 - x2"), p(f"x1 - 2*x2 + {_point(1, j)}")
+            f, g = p("x1 - x2"), p(f"x1 - 2*x2 + {_line(1)[j]}")
             assert gcd_within(f * g, g * g) == g
 
     def test_unlucky_prime(self):
         """x1 + x2 + 1 and x1 + x2 + 1 + P are coprime over Q but equal mod
         the certificate's prime P."""
-        P = _prime(0)
         h = p("x1 + x2")
-        assert gcd_within(p("x1 + x2 + 1"), p(f"x1 + x2 + 1 + {P}")) == p("1")
-        assert gcd_within(h * p("x1 + 1"), h * p(f"x1 + 1 + {P}")) == h
+        assert gcd_within(p("x1 + x2 + 1"), p(f"x1 + x2 + 1 + {_P}")) == p("1")
+        assert gcd_within(h * p("x1 + 1"), h * p(f"x1 + 1 + {_P}")) == h
 
     def test_integer_content_divisible_by_first_prime(self):
         """Integer contents divisible by the certificate's prime leave the
         gcd over Q unchanged."""
-        P = _prime(0)
-        assert gcd_within(p(f"{P}*(x1 + 1)*(x2 - 3)"), p("(x1 + 1)*(x1 - x2)")) == p("x1 + 1")
-        assert gcd_within(p(f"{P}*(x1 + 1)*(x2 - 3)"), p(f"{P}*(x1 + 1)*x3")) == p("x1 + 1")
+        assert gcd_within(p(f"{_P}*(x1 + 1)*(x2 - 3)"), p("(x1 + 1)*(x1 - x2)")) == p("x1 + 1")
+        assert gcd_within(p(f"{_P}*(x1 + 1)*(x2 - 3)"), p(f"{_P}*(x1 + 1)*x3")) == p("x1 + 1")
 
     def test_coefficients_beyond_one_prime(self):
         """A gcd with coefficients above the certificate's prime is exact."""
@@ -463,7 +461,7 @@ class TestGcdOracle:
     def test_image_squarefree_only_over_q(self):
         """x1*(x1 + P) is squarefree over Q but x1^2 modulo the image's
         prime P."""
-        self.assert_fallback(p(f"x1*(x1 + {_prime(0)})"))
+        self.assert_fallback(p(f"x1*(x1 + {_P})"))
 
 
 def test_squarefree_image_reach(monkeypatch):

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from polyaccess.rationals import ONE, ZERO, Q
 
-if not issubclass(Q, Fraction):
-    pytest.skip("gmpy2 rationals are active", allow_module_level=True)
-
 OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 KINDS = ("Q", "Fraction", "int")
 

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from polyaccess import ParseError, Polynomial, parse_file, render_file
+from polyaccess import ParseError, Polynomial, parse_file, render_file, verify_immersion
+from polyaccess.cli import main
+from polyaccess.immersion import jacobian
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +41,17 @@ immersion:
   z5 = sin(x3)
   z6 = cos(x3)
   z7 = 1/(2 - sin(x3)^2)
+"""
+
+POLY_ENTRY = """\
+vars x1 x2 x3
+drift: x2, sin(x3), x1^2
+input g: 0, 0, 1
+immersion:
+  targets z1 z2 z3 z4 z5 z6
+  z4 = sin(x3)
+  z5 = cos(x3)
+  z6 = x1^2 + 1
 """
 
 
@@ -93,6 +106,50 @@ class TestBasicGrammar:
         """Section keywords cannot be variable names."""
         with pytest.raises(ParseError, match="reserved"):
             parse_file("vars sin x1\ninput g: 1, 1\n")
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("vars x1\nvars x2\ninput g: 1\n", 2, 1, "duplicate vars section"),
+        ("vars x1\ndrift: 0\ndrift: 1\ninput g: 1\n", 3, 1, "duplicate drift section"),
+        ("vars x1\ninput g: 1\nimmersion:\n  targets z1 z2\n  z2 = sin(x1)\n"
+         "immersion:\n  targets z1\n", 6, 1, "duplicate immersion section"),
+        ("vars x1\ninput g: 1\noptions:\n  seed 1\noptions:\n  seed 2\n", 5, 1,
+         "duplicate options section"),
+        ("vars x1\ninput g: 1\nimmersion:\n  targets z1 z2\n  targets z1 z2\n"
+         "  z2 = sin(x1)\n", 5, 1, "duplicate targets line"),
+        ("vars x1 x2\ndrift x1, x2\ninput g: 1, 0\n", 2, 13,
+         "missing ':' after drift (expected ':')"),
+        ("vars x1\ninput g 1\n", 2, 10, "missing ':' after input name (expected ':')"),
+        ("vars x1\ninput g: 1\nimmersion:\n  targets z1 z2 z3\n  z2 = sin(x1)\n"
+         "  z3 = cos(x1)\n  relation z2^2 + z3^2 - 1\n", 7, 1,
+         "missing ':' after relation (expected ':')"),
+        ("vars x1\ninput g h: 1\n", 2, 1,
+         "input needs exactly one name (expected input <name>:)"),
+        ("vars x1 x2\ninput g: x1, \n", 2, 13, "empty component (expected a polynomial)"),
+        ("vars\ninput g: 1\n", 1, 1,
+         "no state variable listed (expected state variable names)"),
+        ("vars x1\ninput g: 1\noptions: now\n", 3, 1,
+         "unexpected text after 'options' (expected 'options:')"),
+        ("vars x1\ninput g: 1\noptions:\n  seed\n", 4, 1,
+         "option needs a key and a value (expected <key> <value>)"),
+        ("vars x1\ndrift: x1\n", 1, 1,
+         "at least one input section is required (expected input <name>: <components>)"),
+        ("vars x1 x2\ninput g: sin(x1 + x2), 0\nimmersion:\n  targets z1 z2 z3\n"
+         "  z3 = sin(x1)\n", 2, 10, "sin() takes a single state variable"),
+        ("vars x1\ninput g: tan(x1)\nimmersion:\n  targets z1 z2\n  z2 = sin(x1)\n", 2, 10,
+         "unknown function 'tan' (expected 'sin' or 'cos')"),
+        ("vars x1 x2\ninput g: 1, 0\nimmersion:\n  targets z1\n", 4, 1,
+         "fewer targets than source variables"),
+        ("vars x1\ninput g: 1\nimmersion:\n  targets z1 z2\n  z2 = sin(x1)\n"
+         "  z3 = cos(x1)\n", 6, 1, "entry for undeclared target 'z3'"),
+        ("vars x1\ninput g: 1\nimmersion:\n  targets z1 z2\n  z2 = sin(y)\n", 5, 12,
+         "unknown source variable 'y' (expected a source variable)"),
+    ])
+    def test_error_positions(self, text, line, col, message):
+        """Each malformed file names its fault at a fixed line and column."""
+        with pytest.raises(ParseError) as info:
+            parse_file(text)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert str(info.value) == f"line {line}, col {col}: {message}"
 
 
 class TestOptions:
@@ -196,6 +253,42 @@ class TestImmersionBlock:
                 "  relation: z2^4 + 2*z2^2*z3^2 + z3^4 - 1\n")
         parsed = parse_file(text)
         assert parsed.immersion is not None
+
+    def test_polynomial_entry(self, tmp_path, capsys):
+        """An entry z6 = x1^2 + 1 adds the relation z6 = z1^2 + 1, the
+        Jacobian row (2*z1, 0, 0) and the lifted drift 2*z1*z2; the lift
+        verifies, and the file round-trips."""
+        parsed = parse_file(POLY_ENTRY, name="poly")
+        imap = parsed.immersion
+        assert str(imap.relation_generators()[1]) == "-z1^2 + z6 - 1"
+        assert [str(d) for d in jacobian(imap)[5]] == ["2*z1", "0", "0"]
+        assert str(parsed.system.drift.components[5]) == "2*z1*z2"
+        assert verify_immersion(parsed.analytic, parsed.immersed).ok
+        f = tmp_path / "poly.sys"
+        f.write_text(POLY_ENTRY)
+        assert main(["immerse", "--check", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "immersion:",
+            "  targets: z1 z2 z3 z4 z5 z6",
+            "  z4 = sin(x3)",
+            "  z5 = cos(x3)",
+            "  z6 = x1^2 + 1",
+            "  relation: z4^2 + z5^2 - 1",
+            "  relation: -x1^2 + z6 - 1",
+            "lifted system:",
+            "  drift: z2, z4, z1^2, z1^2*z5, -z1^2*z4, 2*z1*z2",
+            "  input g: 0, 0, 1, z5, -z4, 0",
+            "verification: ok (fields tangent to the relation variety; "
+            "pushforward matches the lift)",
+            "  certificate: L_X(z4^2 + z5^2 - 1) lies in the relation ideal for X in {f, g}",
+            "  certificate: L_X(-z1^2 + z6 - 1) lies in the relation ideal for X in {f, g}",
+        ]
+        rendered = render_file(parsed)
+        again = parse_file(rendered, name="poly")
+        assert again.immersion.entries == imap.entries
+        assert (again.system.drift, again.system.inputs) == \
+            (parsed.system.drift, parsed.system.inputs)
+        assert render_file(again) == rendered
 
 
 class TestRoundTrip:
