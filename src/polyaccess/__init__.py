@@ -28,7 +28,6 @@ from .ideals import (
     in_radical,
     invariant_closure,
     is_invariant,
-    radical_monomial,
     real_radical_restricted,
 )
 from .immersion import (
@@ -104,7 +103,6 @@ __all__ = [
     "parse_polynomial",
     "planar_depth_bound",
     "pull_back_singular",
-    "radical_monomial",
     "rank_l_analysis",
     "rational_rank",
     "real_radical_restricted",

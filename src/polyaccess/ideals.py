@@ -5,6 +5,7 @@ restricted classes this package can certify exactly."""
 from __future__ import annotations
 
 from functools import reduce
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import CapReached
@@ -13,12 +14,14 @@ from .poly import (
     Polynomial,
     VarTable,
     _squarefree_by_image,
+    _zz_quotient,
     exact_div,
+    integer_coeffs,
     mono_div,
     mono_gcd,
     mono_lcm,
 )
-from .rationals import ONE
+from .rationals import ONE, Q
 from .vectorfields import lie_derivative
 
 
@@ -66,15 +69,6 @@ class Ideal(PolySubmodule):
         return f"Ideal({body})"
 
 
-def buchberger(gens):
-    """Reduced monic Groebner basis of the given polynomials, sorted by
-    descending leading monomial."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return ()
-    return Ideal(gens[0].vars, gens).groebner_basis()
-
-
 def ideal_sum(a, b):
     """Sum of two ideals: b's basis inserted into a's."""
     return a.extended(b.groebner_basis())
@@ -104,13 +98,67 @@ def ideal_intersect(a, b):
     return Ideal(a.vars, [a._unvec(d) for d in basis if next(iter(d))[0] == 1])
 
 
+# evaluation points the heuristic gcd tries before poly_gcd falls back
+_HEU_TRIES = 6
+
+
+def _zz_gcd(a, b):
+    """gcd over Z of integer polynomials {monomial: int}, not both zero, or
+    None when the heuristic gives up (GCDHEU: Char, Geddes and Gonnet, J.
+    Symbolic Comput. 7, 1989).  The exact gcd of the primitive parts' values
+    at x_k = xi, k the last variable present and xi >= 2*min(|A|, |B|) + 2,
+    read in symmetric base xi, is their gcd if its primitive part divides
+    both over Z.  Else xi grows as in sympy's dmp_zz_heu_gcd."""
+    if not a or not b:
+        return a or b
+    ca, cb = gcd(*a.values()), gcd(*b.values())
+    k = max((i for m in [*a, *b] for i, e in enumerate(m) if e), default=None)
+    if k is None:
+        return {next(iter(a)): gcd(ca, cb)}
+    a = {m: v // ca for m, v in a.items()}
+    b = {m: v // cb for m, v in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        h = _zz_gcd(_evaluate(a, k, xi), _evaluate(b, k, xi))
+        if h is None:
+            return None
+        g = {}
+        for m, v in h.items():
+            i = 0
+            while v:
+                d = (v + xi // 2) % xi - xi // 2
+                if d:
+                    g[m[:k] + (i,) + m[k + 1:]] = d
+                v, i = (v - d) // xi, i + 1
+        cg = gcd(*g.values())
+        g = {m: v // cg for m, v in g.items()}
+        if _zz_quotient(a, g) is not None and _zz_quotient(b, g) is not None:
+            return {m: v * gcd(ca, cb) for m, v in g.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate(a, k, xi):
+    """The integer polynomial a at x_k = xi."""
+    out = {}
+    for m, v in a.items():
+        m2 = m[:k] + (0,) + m[k + 1:]
+        out[m2] = out.get(m2, 0) + v * xi ** m[k]
+    return {m: v for m, v in out.items() if v}
+
+
 def poly_gcd(p, q):
-    """Monic gcd of p and q, as p*q over their lcm l.  The intersection of
-    two principal ideals is principal, <p> ∩ <q> = <l>, so l is the lone
-    element of its reduced basis (Cox, Little and O'Shea, Ideals,
-    Varieties, and Algorithms, section 4.3)."""
+    """Monic gcd of p and q: that over Z of p and q scaled to integer
+    coefficients (Gauss's lemma), by _zz_gcd at xi >= 2*min(|A|, |B|) + 2,
+    certified by trial division at every level.  After _HEU_TRIES points it
+    is p*q over the lcm l, the lone element of the reduced basis of
+    <p> ∩ <q> (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms)."""
     if p.is_zero() or q.is_zero():
         return (p + q).monic()
+    p._check(q)
+    g = _zz_gcd(integer_coeffs(p), integer_coeffs(q))
+    if g is not None:
+        return Polynomial(p.vars, {m: Q(v) for m, v in g.items()}, _clean=False).monic()
     (l,) = ideal_intersect(Ideal(p.vars, [p]), Ideal(q.vars, [q])).groebner_basis()
     return exact_div(p * q, l).monic()
 
@@ -131,8 +179,9 @@ def squarefree_part(p):
     derivative therefore proves p squarefree, and p.monic() is the answer.
 
     Otherwise p is divided by gcd(p, dp/dx_1, ..., dp/dx_n), taken one
-    partial derivative at a time with poly_gcd and stopped at the first
-    constant gcd.
+    partial derivative at a time with poly_gcd (a heuristic integer gcd
+    certified by trial division, else p*q over the lcm) and stopped at the
+    first constant gcd.
     """
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial is undefined")
@@ -161,32 +210,12 @@ def in_radical(p, ideal):
     t = Polynomial.variable(ext, 0)
     gens = [g.map_vars(ext, shift) for g in ideal.groebner_basis()]
     gens.append(1 - t * p.map_vars(ext, shift))
-    gb = buchberger(gens)
-    return bool(gb) and gb[0].is_constant()
-
-
-def _monomial_of(p):
-    """The exponent tuple if p is a single term, else None."""
-    if len(p.coeffs) == 1:
-        return next(iter(p.coeffs))
-    return None
+    return not Ideal(ext, gens).is_proper()
 
 
 def _squarefree_monomial(vars, mono):
     m = tuple(1 if e else 0 for e in mono)
     return Polynomial(vars, {m: ONE}, _clean=False)
-
-
-def radical_monomial(ideal):
-    """Radical of a monomial ideal: squarefree parts of the generators."""
-    gb = ideal.groebner_basis()
-    gens = []
-    for g in gb:
-        mono = _monomial_of(g)
-        if mono is None:
-            raise ValueError("not a monomial ideal")
-        gens.append(_squarefree_monomial(ideal.vars, mono))
-    return Ideal(ideal.vars, gens)
 
 
 class Unsupported:
@@ -245,19 +274,18 @@ def _principal_real_radical(p, vars):
 def _structural_real_radical_shape(gb):
     """True if the basis is squarefree monomials plus affine-linear forms in
     otherwise unused variables; such an ideal equals its own real radical."""
-    mono_vars = set()
+    seen = set()
     linears = []
     for g in gb:
-        mono = _monomial_of(g)
-        if mono is not None:
+        if len(g.coeffs) == 1:
+            (mono,) = g.coeffs
             if any(e > 1 for e in mono):
                 return False
-            mono_vars.update(i for i, e in enumerate(mono) if e)
+            seen.update(i for i, e in enumerate(mono) if e)
         elif g.total_degree() == 1:
             linears.append(g)
         else:
             return False
-    seen = set(mono_vars)
     for l in linears:
         supp = set(l.variables_present())
         if supp & seen:

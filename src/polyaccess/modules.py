@@ -6,8 +6,8 @@ is position-over-term with earlier positions larger and degrevlex within a
 position, so leading terms sit in the lowest occupied component.  An ideal
 of Q[x] is a submodule of Q[x]^1, so module_buchberger computes the ideal
 bases too (ideals.Ideal is a PolySubmodule at dim 1), and ideal
-intersections at dim 2, which also give polynomial gcds as p*q over the
-lcm (ideals.poly_gcd).
+intersections at dim 2, which also give the polynomial gcd's fallback,
+p*q over the lcm (ideals.poly_gcd).
 
 The product criterion drops a pair whose leading monomials are coprime.
 It holds for the pairs led in the last position, dim - 1, and only there.

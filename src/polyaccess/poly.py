@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import cache, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import ParseError
@@ -402,31 +402,50 @@ class Polynomial:
 
 
 def exact_div(p, d):
-    """p / d when the division is exact in Q[x]; raises ValueError otherwise."""
+    """p / d when the division is exact in Q[x]; raises ValueError otherwise.
+    By Gauss's lemma, p scaled to integers divided over Z by the primitive
+    part of d scaled to integers, times a rational scale."""
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
         return p
     p._check(d)
-    dc, dm = d.lt()
-    work = dict(p.coeffs)
-    quot = {}
-    while work:
-        m = min(work, key=mono_negkey)
-        c = work[m]
-        if not all(map(le, dm, m)):
-            raise ValueError("division is not exact")
+    a, b = integer_coeffs(p), integer_coeffs(d)
+    cb = gcd(*b.values())
+    quot = _zz_quotient(a, {m: v // cb for m, v in b.items()})
+    if quot is None:
+        raise ValueError("division is not exact")
+    (m, c), (n, e) = next(iter(p.coeffs.items())), next(iter(d.coeffs.items()))
+    s = c / a[m] * (b[n] // cb) / e  # (p / a) / (d / b * cb)
+    return Polynomial(p.vars, {m: s * v for m, v in quot.items()}, _clean=False)
+
+
+def _zz_quotient(a, d):
+    """a / d for integer polynomials {monomial: int}, or None when d does
+    not divide a over Z; the division runs in lex order."""
+    dm = max(d)
+    dc, a, quot = d[dm], dict(a), {}
+    while a:
+        m = max(a)
+        c, r = divmod(a[m], dc)
+        if r or not all(map(le, dm, m)):
+            return None
         qm = tuple(map(sub, m, dm))
-        qc = c / dc
-        quot[qm] = qc
-        for m2, c2 in d.coeffs.items():
+        quot[qm] = c
+        for m2, c2 in d.items():
             mm = tuple(map(add, qm, m2))
-            v = work.get(mm, ZERO) - qc * c2
+            v = a.get(mm, 0) - c * c2
             if v:
-                work[mm] = v
-            elif mm in work:
-                del work[mm]
-    return Polynomial(p.vars, quot, _clean=False)
+                a[mm] = v
+            else:
+                del a[mm]
+    return quot
+
+
+def integer_coeffs(p):
+    """{monomial: int}: p times the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in p.coeffs.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.coeffs.items()}
 
 
 # the largest prime below 2**30: the modulus of the squarefree certificate
@@ -441,14 +460,17 @@ def _line(i):
 
 
 def _urem(a, b, P):
-    """Remainder over Z/P of dense univariate polynomials: coefficient
-    lists, constant term first, with a nonzero last entry."""
-    a, inv, n = a[:], pow(b[-1], -1, P), len(b) - 1
+    """Remainder over Z/P, times a unit, of dense univariate polynomials:
+    coefficient lists, constant term first, with a nonzero last entry.
+    Each step is a <- b[-1]*a - a[-1]*t^s*b, so no inverse is taken."""
+    a, lb, n = a[:], b[-1], len(b) - 1
     while len(a) > n:
-        s = len(a) - 1 - n
-        c = a.pop() * inv % P
+        c = a.pop()
+        s = len(a) - n
+        for i in range(s):
+            a[i] = a[i] * lb % P
         for i in range(n):
-            a[s + i] = (a[s + i] - c * b[i]) % P
+            a[s + i] = (a[s + i] * lb - c * b[i]) % P
     while a and not a[-1]:
         a.pop()
     return a
@@ -477,10 +499,8 @@ def _squarefree_by_image(p):
     """True when the image of p on the certificate line mod _P keeps the
     total degree of p and is coprime to its t-derivative, which proves p
     squarefree (see ideals.squarefree_part).  False decides nothing."""
-    den = lcm(*(c.denominator for c in p.coeffs.values()))
     h = [0] * (p.total_degree() + 1)
-    for m, c in p.coeffs.items():
-        c = c.numerator * (den // c.denominator)
+    for m, c in integer_coeffs(p).items():
         for k, v in enumerate(_monomial_on_line(m)):
             h[k] += c * v
     h = [v % _P for v in h]

@@ -359,7 +359,7 @@ class TestOneSessionPerRun:
 
     @pytest.mark.parametrize("name, bases, adjoins", [
         ("planar", 18, 10),
-        ("circle3d", 22, 19),
+        ("circle3d", 16, 19),
         ("unicycle", 9, 2),
         ("pendulum", 35, 38),
     ])

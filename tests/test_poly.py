@@ -20,7 +20,7 @@ from polyaccess.poly import (
     mono_negkey,
 )
 from polyaccess.rationals import Q
-from test_acceptance import random_system
+from test_acceptance import SYSTEMS, cli_main, random_system
 
 V2 = VarTable(("x1", "x2"))
 V3 = VarTable(("x1", "x2", "x3"))
@@ -274,20 +274,34 @@ def small_polys(draw, n):
 def gcd_cases(draw):
     """(vars, p, q): a pair a, b that is coprime unless by chance, or g*a
     and g*b with a planted common factor g, repeated in p.  a and b get a
-    constant term, so no monomial divides both."""
+    constant term, so no monomial divides both; g gets none added, so it
+    may have monomial content.  One term of g may get 2**64 or more added
+    to its coefficient, p and q may get integer contents that large, and a
+    may get a term in one more variable, which q then lacks."""
     n = draw(st.integers(1, 3))
-    V = VarTable(tuple(f"x{i + 1}" for i in range(n)))
-    a, b = (Polynomial(V, draw(small_polys(n))) + draw(st.integers(1, 5)) for _ in range(2))
+    lone = draw(st.booleans())
+    V = VarTable(tuple(f"x{i + 1}" for i in range(n + lone)))
+    pad = (0,) * lone
+
+    def poly():
+        return Polynomial(V, {m + pad: c for m, c in draw(small_polys(n)).items()})
+
+    big = st.one_of(st.just(1), st.integers(2**64, 2**70))
+    a, b = (poly() + draw(st.integers(1, 5)) for _ in range(2))
+    if lone:
+        a = a + Polynomial(V, {(0,) * n + (draw(st.integers(1, 2)),): Q(draw(st.integers(1, 5)))})
     kind = draw(st.sampled_from(("coprime", "planted", "repeated")))
     if kind != "coprime":
-        g = Polynomial(V, draw(small_polys(n)))
+        g = poly().coeffs
+        m = draw(st.sampled_from(sorted(g)))
+        g = Polynomial(V, {**g, m: g[m] + draw(st.one_of(st.just(0), st.integers(2**64, 2**70)))})
         a, b = g * a, g * b
         if kind == "repeated":
             a = g * a
-    return V, a, b
+    return V, a * draw(big), b * draw(big)
 
 
-def gcd_within(a, b, seconds=20):
+def gcd_within(a, b, seconds=5):
     """poly_gcd(a, b), failing instead of hanging past a time limit."""
     def expire(signum, frame):
         raise TimeoutError(f"poly_gcd gave no result within {seconds} s")
@@ -422,12 +436,38 @@ class TestGcdOracle:
     def test_slowest_planted_pair(self):
         """The slowest of 1,200 random planted pairs g^2*a, g*b or g*a, g*b
         (one to three variables, factors of two to four terms with
-        exponents up to 3): degree 23 in three variables, gcd g.  It takes
-        1.3-2.2 s (2 vCPU, Python 3.11); the limit catches a blow-up."""
+        exponents up to 3) for the module-engine gcd: degree 23 in three
+        variables, gcd g.  The heuristic gcd takes 0.5-1 ms (2 vCPU,
+        Python 3.11); the limit catches a blow-up."""
         g = p("x1^2*x2^3*x3^3 + 2*x1^3*x2^3 - 1/2*x1^3*x2*x3^2 - 4/3*x1^2*x2^2*x3^2")
         a = p("-5*x1^2*x2^2*x3^3 - 1/2*x1^3*x2*x3 + x1*x2^3*x3 + 2/3*x2 + 5")
         b = p("2/3*x1^3*x2^3*x3^3 - 5/3*x1^2*x2^3*x3 + 4*x1^3*x3^3 + 1")
-        assert gcd_within(g * g * a, g * b, seconds=5) == g
+        assert gcd_within(g * g * a, g * b, seconds=1) == g
+
+    def test_values_share_a_factor(self):
+        """x1 + 1 and x1 + c are coprime for c != 1, yet at x1 = xi their
+        values share the factor xi + 1 whenever it divides c - 1, and the
+        expansion of that gcd in base xi is x1 + 1 again: only the trial
+        division rejects it.  Over c < 400 this happens for every
+        evaluation point below 398."""
+        for c in range(2, 400):
+            assert poly_gcd(p("x1 + 1"), p(f"x1 + {c}")) == p("1")
+            assert poly_gcd(p("x2*(x1 + 1)"), p(f"x2*(x1 + {c})")) == p("x2")
+
+    @pytest.mark.parametrize("tries", [0, 1])
+    def test_give_up(self, monkeypatch, tries):
+        """With no evaluation point the heuristic gives up on every pair,
+        and with only the first on x1 + 1, x1 + 33, whose values there, 32
+        and 64, share 32; the module-engine fallback gives sympy's gcd."""
+        monkeypatch.setattr(polyaccess.ideals, "_HEU_TRIES", tries)
+        fallbacks = count_fallbacks(monkeypatch)
+        pairs = [(p("x1 + 1"), p("x1 + 33")), (p("(x1 - x2)*(x1 + 3)"), p("(x1 - x2)^2*x3"))]
+        pairs += [(p(a), p(b)) for a, b in SWEEP_PAIRS[2:]]
+        syms = sympy.symbols(V3.names)
+        for a, b in pairs:
+            expected = sympy.gcd(to_sympy(a, syms), to_sympy(b, syms))
+            assert gcd_within(a, b) == from_sympy(expected, V3, syms).monic()
+        assert fallbacks[0] == (len(pairs) if tries == 0 else 1)
 
     def test_no_shared_variable(self):
         """Polynomials in disjoint variables are coprime."""
@@ -462,6 +502,35 @@ class TestGcdOracle:
         """x1*(x1 + P) is squarefree over Q but x1^2 modulo the image's
         prime P."""
         self.assert_fallback(p(f"x1*(x1 + {_P})"))
+
+
+def count_fallbacks(monkeypatch):
+    """A one-entry list counting poly_gcd's module-engine fallbacks."""
+    counted = [0]
+    intersect = polyaccess.ideals.ideal_intersect
+
+    def wrapped(a, b):
+        counted[0] += 1
+        return intersect(a, b)
+
+    monkeypatch.setattr(polyaccess.ideals, "ideal_intersect", wrapped)
+    return counted
+
+
+def test_heuristic_gcd_reach(monkeypatch, capsys):
+    """The heuristic gcd decides every gcd the workloads take: the 9 of the
+    exact index search without rerouting over the random systems of seeds
+    0-399, and the 6 of full on the four demo systems (all on circle3d)."""
+    fallbacks, gcds = count_fallbacks(monkeypatch), []
+    gcd = polyaccess.ideals.poly_gcd
+    monkeypatch.setattr(polyaccess.ideals, "poly_gcd", lambda a, b: gcds.append(1) or gcd(a, b))
+    for seed in range(400):
+        exact_index_analysis(random_system(seed), auto_route=False)
+    assert (len(gcds), fallbacks[0]) == (9, 0)
+    for name in ("planar", "circle3d", "unicycle", "pendulum"):
+        assert cli_main(["full", str(SYSTEMS / f"{name}.sys"), "--format", "structured"]) == 0
+    capsys.readouterr()
+    assert (len(gcds), fallbacks[0]) == (9 + 6, 0)
 
 
 def test_squarefree_image_reach(monkeypatch):
