@@ -42,7 +42,6 @@ from .immersion import (
 )
 from .minors import (
     FieldMatrix,
-    GenericRank,
     build_matrix,
     generic_rank,
     minor_ideal,
@@ -69,7 +68,6 @@ __all__ = [
     "ClosureError",
     "Entry",
     "FieldMatrix",
-    "GenericRank",
     "GenericTestResult",
     "Ideal",
     "ImmersedSystem",

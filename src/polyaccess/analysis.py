@@ -140,15 +140,17 @@ class AnalysisSession:
     The routes share their work.  Each mode has one module chain, read from
     chain_depths only as deep as some route asks: its columns and modules
     through each depth give the generic test, the index search and the
-    closure their matrices, and its stable depth r-hat gives the bound and
-    rank routes theirs.  The generic test, minor ideals, index search and
-    invariant closure are each computed on first use and kept.  Routes that
-    build on one another (strong on the index search, the index search on
-    the closure) read the same objects.  The bracket family is kept only to
-    report its size per depth, as its generations and their ray set.  Its
-    generations 0 and 1 are the fields the chain found on new rays at those
-    depths, so no bracket is formed twice; deeper generations come from the
-    chain's own step, new_brackets, applied to the family's last generation.
+    closure their matrices and ranks.  At its stable depth r-hat, its module
+    gives the bound and rank routes the generic rank, with no sampling, and
+    its columns give their minors.  The generic test, minor ideals, index
+    search and invariant closure are each computed on first use and kept.
+    Routes that build on one another (strong on the index search, the index
+    search on the closure) read the same objects.  The bracket family is
+    kept only to report its size per depth, as its generations and their ray
+    set.  Its generations 0 and 1 are the fields the chain found on new rays
+    at those depths, so no bracket is formed twice; deeper generations come
+    from the chain's own step, new_brackets, applied to the family's last
+    generation.
     """
 
     def __init__(self, system, max_depth=None, seed=0):
@@ -194,17 +196,10 @@ class AnalysisSession:
         return depths[depth]
 
     @_once
-    def _columns(self, mode, depth):
-        """Chain columns through depth `depth` and the module they span."""
-        retained, module, _ = self._depth(mode, depth)
-        cols = self._columns(mode, depth - 1)[0] if depth else ()
-        return cols + retained, module
-
-    @_once
     def matrix(self, mode, depth):
         """Matrix of the chain columns through depth `depth`; None when there
         are none."""
-        cols, _ = self._columns(mode, depth)
+        cols = [f for k in range(depth + 1) for f in self._depth(mode, k)[0]]
         return build_matrix(cols) if cols else None
 
     @_once
@@ -222,12 +217,10 @@ class AnalysisSession:
         """Matrix of the stabilized chain's columns; None for a zero chain."""
         return self.matrix(mode, self.chain(mode).r_hat)
 
-    @_once
     def limit_rank(self, mode):
-        M = self.limit_matrix(mode)
-        if M is None:
-            return 0
-        return generic_rank(M, seed=self.seed, module=self.chain(mode).module).rank
+        """Generic rank of the stabilized chain: the rank of its module, whose
+        basis the chain has built."""
+        return self.chain(mode).module.rank()
 
     @_once
     def minors(self, mode, depth, size):
@@ -266,20 +259,20 @@ class AnalysisSession:
         fields zero) has rank 0."""
         n = self.system.dimension
         records = []
-        best = rank = 0
+        rank = 0
         for depth in range(n):
             # a depth past 0 that retains nothing has the columns, so the
             # rank, of the depth before
             if depth == 0 or self._depth(mode, depth)[0]:
                 M = self.matrix(mode, depth)
                 rank = 0 if M is None else generic_rank(
-                    M, seed=self.seed, module=self._columns(mode, depth)[1]).rank
-            best = max(best, rank)
+                    M, seed=self.seed, module=self._depth(mode, depth)[1])
             records.append(ChainRecord(depth=depth, family_size=self._family_size(mode, depth),
                                        generic_rank=rank))
             if rank == n:
                 return GenericTestResult(mode, n, VERDICT_GENERIC, depth, tuple(records))
-        return GenericTestResult(mode, best, VERDICT_NOWHERE, None, tuple(records))
+        # the columns, so the ranks, only grow with depth: the last is the best
+        return GenericTestResult(mode, rank, VERDICT_NOWHERE, None, tuple(records))
 
     @_once
     def _index_search(self, mode):

@@ -15,8 +15,8 @@ from .poly import (
     VarTable,
     _squarefree_by_image,
     _zz_quotient,
-    exact_div,
     integer_coeffs,
+    monic_quotient,
     mono_div,
     mono_gcd,
     mono_lcm,
@@ -160,7 +160,7 @@ def poly_gcd(p, q):
     if g is not None:
         return Polynomial(p.vars, {m: Q(v) for m, v in g.items()}, _clean=False).monic()
     (l,) = ideal_intersect(Ideal(p.vars, [p]), Ideal(q.vars, [q])).groebner_basis()
-    return exact_div(p * q, l).monic()
+    return monic_quotient(p * q, l)
 
 
 def squarefree_part(p):
@@ -196,7 +196,7 @@ def squarefree_part(p):
         d = poly_gcd(d, p.partial_derivative(i))
     if d.is_constant():
         return p.monic()
-    return exact_div(p, d).monic()
+    return monic_quotient(p, d)
 
 
 def in_radical(p, ideal):

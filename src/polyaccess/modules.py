@@ -26,8 +26,9 @@ from __future__ import annotations
 import heapq
 from operator import add, le, sub
 
-from .poly import Polynomial, mono_div, mono_divides, mono_gcd, mono_key, mono_lcm, mono_mul
-from .rationals import ONE, ZERO
+from .poly import (Polynomial, _add_into, mono_div, mono_divides, mono_gcd, mono_key, mono_lcm,
+                   mono_mul)
+from .rationals import ONE
 from .vectorfields import VectorField, new_brackets, ray_key
 
 
@@ -229,12 +230,7 @@ def module_buchberger(gens, dim, basis=()):
         pos = max(live)
         _, i, j, L = heapq.heappop(pairs[pos])
         s = _mv_shift(G[i], mono_div(L, lms[i]))
-        for t, c in _mv_shift(G[j], mono_div(L, lms[j])).items():
-            v = s.get(t, ZERO) - c
-            if v:
-                s[t] = v
-            else:
-                del s[t]
+        _add_into(s, _mv_shift(G[j], mono_div(L, lms[j])), True)
         h = _mv_reduce(s, reducers)
         if h:
             insert(h)

@@ -236,12 +236,6 @@ class Polynomial:
             self._lt = (self.coeffs[mono], mono)
         return self._lt
 
-    def leading_coefficient(self):
-        return self.lt()[0]
-
-    def leading_monomial(self):
-        return self.lt()[1]
-
     def monic(self):
         if not self.coeffs:
             return self
@@ -401,23 +395,21 @@ class Polynomial:
 # -- exact division, squarefree certificate --------------------------------
 
 
-def exact_div(p, d):
-    """p / d when the division is exact in Q[x]; raises ValueError otherwise.
-    By Gauss's lemma, p scaled to integers divided over Z by the primitive
-    part of d scaled to integers, times a rational scale."""
+def monic_quotient(p, d):
+    """The monic multiple of p / d when d divides p in Q[x]; raises
+    ValueError otherwise.  By Gauss's lemma, p scaled to integers divided
+    over Z by the primitive part of d scaled to integers, made monic."""
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
         return p
     p._check(d)
-    a, b = integer_coeffs(p), integer_coeffs(d)
+    b = integer_coeffs(d)
     cb = gcd(*b.values())
-    quot = _zz_quotient(a, {m: v // cb for m, v in b.items()})
+    quot = _zz_quotient(integer_coeffs(p), {m: v // cb for m, v in b.items()})
     if quot is None:
         raise ValueError("division is not exact")
-    (m, c), (n, e) = next(iter(p.coeffs.items())), next(iter(d.coeffs.items()))
-    s = c / a[m] * (b[n] // cb) / e  # (p / a) / (d / b * cb)
-    return Polynomial(p.vars, {m: s * v for m, v in quot.items()}, _clean=False)
+    return Polynomial(p.vars, {m: Q(v) for m, v in quot.items()}, _clean=False).monic()
 
 
 def _zz_quotient(a, d):

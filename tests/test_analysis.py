@@ -3,6 +3,7 @@
 import pytest
 
 import polyaccess.analysis
+import polyaccess.minors
 from polyaccess import (
     CapReached,
     Ideal,
@@ -419,6 +420,27 @@ class TestRankThreshold:
         report = rank_l_analysis(system, 2)
         assert report.generic_rank == 1
         assert report.singular_generators() == ()
+
+    def test_limit_rank_samples_nothing(self, monkeypatch):
+        """Once the chain stands, the bound and rank routes read the limit
+        rank off its module and evaluate no matrix: with sampling refused,
+        the lifted pendulum's rank-4 locus and the circle3d bound give the
+        answers of an unpatched session."""
+        def refuse(rows):
+            raise AssertionError("the limit rank sampled a matrix")
+
+        cases = [(load("pendulum").immersed.system, lambda s: s.rank_l("accessibility", 4), 4),
+                 (load("circle3d").system, lambda s: s.bound("accessibility"), 3)]
+        for system, route, rank in cases:
+            session = AnalysisSession(system)
+            session.chain("accessibility")
+            with monkeypatch.context() as m:
+                m.setattr(polyaccess.minors, "rational_rank", refuse)
+                report = route(session)
+            expected = route(AnalysisSession(system))
+            assert report.generic_rank == rank
+            assert report._replace(singular_ideal=None) == expected._replace(singular_ideal=None)
+            assert report.singular_generators() == expected.singular_generators()
 
 
 class TestSampleCheck:

@@ -284,7 +284,7 @@ class TestStabilizeChain:
 
     def test_module_is_column_span(self):
         """The stabilized module is spanned by exactly the chain's columns,
-        so generic_rank may read the column rank off it; at every depth the
+        so its rank is the limit matrix's generic rank; at every depth the
         recorded basis size is that of the columns retained so far, and
         the columns span the same module as the whole bracket family
         through that depth, so either gives the same minor ideals."""

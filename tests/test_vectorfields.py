@@ -239,7 +239,7 @@ def _ray_key_reference(field):
     brackets were once keyed."""
     for comp in field.components:
         if not comp.is_zero():
-            inv = 1 / comp.leading_coefficient()
+            inv = 1 / comp.lt()[0]
             return tuple(frozenset((c * inv).coeffs.items()) for c in field.components)
 
 
