@@ -25,7 +25,7 @@ for depth in range(3):
     I = session.minors("accessibility", depth, system.dimension)
     rr = real_radical_restricted(I)
     inv = is_invariant(rr, system.operators())
-    print(f"depth {depth}: columns {list(session.matrix('accessibility', depth).labels)}")
+    print(f"depth {depth}: columns {[c.label for c in session.matrix('accessibility', depth)]}")
     print(f"  minor ideal      {I}")
     print(f"  real radical     {rr}")
     if inv.invariant:

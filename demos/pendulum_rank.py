@@ -17,7 +17,6 @@ distinct rank-4 minors takes about 0.1 s of it, and the module chain about
 from pathlib import Path
 
 from polyaccess import (
-    build_matrix,
     minor_ideal,
     parse_file,
     pull_back_singular,
@@ -39,7 +38,7 @@ sizes = "/".join(str(len(r)) for r in chain.rounds)
 print(f"module chain stabilizes at depth {chain.r_hat} "
       f"(retained columns per depth: {sizes})")
 
-I4 = minor_ideal(build_matrix(chain.columns), 4)
+I4 = minor_ideal(chain.columns, 4)
 print(f"rank-4 minor ideal: {len(I4.groebner_basis())} generators")
 rr = real_radical_restricted(I4)
 print("restricted real radical:",

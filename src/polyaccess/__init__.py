@@ -40,13 +40,7 @@ from .immersion import (
     vanishing_coordinates,
     verify_immersion,
 )
-from .minors import (
-    FieldMatrix,
-    build_matrix,
-    generic_rank,
-    minor_ideal,
-    rational_rank,
-)
+from .minors import generic_rank, minor_ideal, rational_rank
 from .modules import PolySubmodule
 from .poly import Polynomial, VarTable, parse_polynomial
 from .systemfile import ParsedFile, parse_file, render_file
@@ -67,7 +61,6 @@ __all__ = [
     "ChainResult",
     "ClosureError",
     "Entry",
-    "FieldMatrix",
     "GenericTestResult",
     "Ideal",
     "ImmersedSystem",
@@ -83,7 +76,6 @@ __all__ = [
     "VarTable",
     "VectorField",
     "bound_analysis",
-    "build_matrix",
     "closure_singular_analysis",
     "derive_immersed",
     "exact_index_analysis",

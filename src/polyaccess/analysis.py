@@ -16,7 +16,7 @@ from .ideals import (
     is_invariant,
     real_radical_restricted,
 )
-from .minors import build_matrix, generic_rank, minor_ideal, rational_rank
+from .minors import generic_rank, minor_ideal, rational_rank
 from .modules import chain_depths
 from .rationals import Q
 from .vectorfields import new_brackets
@@ -197,10 +197,11 @@ class AnalysisSession:
 
     @_once
     def matrix(self, mode, depth):
-        """Matrix of the chain columns through depth `depth`; None when there
-        are none."""
-        cols = [f for k in range(depth + 1) for f in self._depth(mode, k)[0]]
-        return build_matrix(cols) if cols else None
+        """The bracket matrix through depth `depth`, as the tuple of its
+        columns, the chain fields retained at depths 0..depth; None when
+        there are none."""
+        cols = tuple(f for k in range(depth + 1) for f in self._depth(mode, k)[0])
+        return cols or None
 
     @_once
     def chain(self, mode):
@@ -214,7 +215,7 @@ class AnalysisSession:
         raise CapReached("module chain", self.max_depth)
 
     def limit_matrix(self, mode):
-        """Matrix of the stabilized chain's columns; None for a zero chain."""
+        """The stabilized chain's column tuple; None for a zero chain."""
         return self.matrix(mode, self.chain(mode).r_hat)
 
     def limit_rank(self, mode):
@@ -468,17 +469,21 @@ def sample_check(report, matrix, trials=50, seed=1, extra_points=()):
     where every singular generator vanishes.  Extra points let callers
     probe the variety itself.
 
-    The matrix must be one whose rank drops exactly on the report's set.
-    Every route's singular ideal describes the limit locus, so the
-    stabilized chain's matrix, session.limit_matrix(mode), serves for all
-    of them: its columns span the limit fiber pointwise.  At an exact index
-    k the depth-k matrix, session.matrix(mode, k), serves as well."""
+    The matrix is a tuple of column fields whose rank drops exactly on the
+    report's set; the threshold defaults to the state dimension.  Every
+    route's singular ideal describes the limit locus, so the stabilized
+    chain's columns, session.limit_matrix(mode), serve for all of them:
+    they span the limit fiber pointwise.  At an exact index k the depth-k
+    columns, session.matrix(mode, k), serve as well.  A report with no
+    singular ideal (an undecided index) has nothing to check."""
     if matrix is None:
         raise ValueError("no bracket matrix to sample")
-    threshold = report.threshold or matrix.nrows
+    if report.singular_ideal is None:
+        raise ValueError("report has no singular ideal to sample")
+    threshold = report.threshold or len(matrix[0])
     gens = report.singular_generators()
     rng = Random(seed)
-    points = [tuple(rng.randint(-50, 50) for _ in range(len(matrix.vars)))
+    points = [tuple(rng.randint(-50, 50) for _ in range(len(matrix[0].vars)))
               for _ in range(trials)]
     points.extend(tuple(p) for p in extra_points)
     mismatches = []
@@ -486,7 +491,7 @@ def sample_check(report, matrix, trials=50, seed=1, extra_points=()):
     for p in points:
         point = [Q(v) for v in p]
         vanish = all(g.evaluate(point) == 0 for g in gens)
-        low = rational_rank(matrix.evaluate(point)) < threshold
+        low = rational_rank([c.evaluate(point) for c in matrix]) < threshold
         if vanish:
             on_variety += 1
         if vanish != low:

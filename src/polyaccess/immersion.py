@@ -340,14 +340,12 @@ def _image_points(map, count, seed):
             padded = [v if v is not None else Q(0) for v in values]
             if e.kind == "polynomial":
                 values[j] = e.expr.evaluate(padded)
-            elif e.kind == "reciprocal":
+            else:  # reciprocal: the first loop set every sin and cos entry
                 q = e.expr.evaluate(padded)
                 if q == 0:
                     ok = False
                     break
                 values[j] = ONE / q
-            else:  # unpaired sin or cos with no companion constraint
-                values[j] = Q(0)
         if ok:
             points.append(tuple(values))
     return points

@@ -1,5 +1,5 @@
-"""Matrices with vector-field columns: minor ideals and certified generic
-rank."""
+"""Bracket matrices, given as their column fields: minor ideals and
+certified generic rank."""
 
 from __future__ import annotations
 
@@ -9,43 +9,13 @@ from math import lcm, prod
 from random import Random
 
 from .poly import mono_key
-from .rationals import Q
 from .ideals import Ideal
 from .modules import PolySubmodule
-from .vectorfields import VectorField
 
 
-class FieldMatrix:
-    """n x m matrix whose columns are vector fields over one table."""
-
-    __slots__ = ("vars", "entries", "labels")
-
-    def __init__(self, vars, entries, labels):
-        self.vars = vars
-        self.entries = tuple(tuple(row) for row in entries)
-        self.labels = tuple(labels)
-
-    @property
-    def nrows(self):
-        return len(self.entries)
-
-    @property
-    def ncols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
-    def evaluate(self, point):
-        point = [Q(v) for v in point]
-        return [[e.evaluate(point) for e in row] for row in self.entries]
-
-    def __repr__(self):
-        return f"FieldMatrix({self.nrows}x{self.ncols}, cols={list(self.labels)})"
-
-
-def build_matrix(columns):
-    """Matrix whose j-th column is the j-th field, in the given order."""
+def _shape(columns):
+    """The columns as a tuple, with their row count: they must be nonempty
+    and share one variable table and one length."""
     columns = tuple(columns)
     if not columns:
         raise ValueError("matrix needs at least one column")
@@ -54,8 +24,7 @@ def build_matrix(columns):
     for c in columns:
         if c.vars != vars or len(c) != n:
             raise ValueError("columns live over different spaces")
-    entries = [[c[i] for c in columns] for i in range(n)]
-    return FieldMatrix(vars, entries, [c.label for c in columns])
+    return columns, n
 
 
 def _extend_minors(minors, row):
@@ -100,8 +69,9 @@ def _leaf_minors(entries, minors, last, size):
             yield from _leaf_minors(entries, extended, r, size)
 
 
-def minor_ideal(matrix, size):
-    """Ideal generated by all size x size minors, monic and deduplicated.
+def minor_ideal(columns, size):
+    """Ideal generated by all size x size minors of the matrix whose j-th
+    column is the j-th field, monic and deduplicated.
 
     The minors come from one shared cofactor expansion: row sets are walked
     in lexicographic order as a tree of row prefixes, and each prefix keeps
@@ -110,23 +80,25 @@ def minor_ideal(matrix, size):
     minors, first occurrence in (rows, cols) lexicographic order, then
     stably sorted by leading monomial, largest first.
     """
-    n, m = matrix.nrows, matrix.ncols
+    columns, n = _shape(columns)
+    m = len(columns)
     if size < 1 or size > min(n, m):
         raise ValueError(f"no {size}x{size} minors in a {n}x{m} matrix")
+    rows = tuple(zip(*columns))
     gens = []
     seen = set()
-    for r, row in enumerate(matrix.entries[:n - size + 1]):
+    for r, row in enumerate(rows[:n - size + 1]):
         # the prefix tree starts at the 1 x 1 minors, the nonzero entries
         ones = {(c,): e for c, e in enumerate(row) if e}
         if not ones:
             continue
-        for d in _leaf_minors(matrix.entries, ones, r, size):
+        for d in _leaf_minors(rows, ones, r, size):
             d = d.monic()
             if d not in seen:
                 seen.add(d)
                 gens.append(d)
     gens.sort(key=lambda g: mono_key(g.lt()[1]), reverse=True)
-    return Ideal(matrix.vars, gens)
+    return Ideal(columns[0].vars, gens)
 
 
 def rational_rank(rows):
@@ -160,15 +132,17 @@ def rational_rank(rows):
     return rank
 
 
-def _integer_entries(matrix):
-    """The entries as (exponents, int) terms, each column scaled by the lcm
-    of its denominators, which leaves the rank at every point unchanged."""
-    rows = [[list(e.coeffs.items()) for e in row] for row in matrix.entries]
-    for j in range(matrix.ncols):
-        den = lcm(*[c.denominator for row in rows for _, c in row[j]])
-        for row in rows:
-            row[j] = [(m, c.numerator * (den // c.denominator)) for m, c in row[j]]
-    return rows
+def _integer_entries(columns):
+    """Each column's entries as (exponents, int) terms, the column scaled by
+    the lcm of its denominators, which leaves the rank at every point
+    unchanged."""
+    out = []
+    for col in columns:
+        terms = [list(e.coeffs.items()) for e in col]
+        den = lcm(*[c.denominator for t in terms for _, c in t])
+        out.append([[(m, c.numerator * (den // c.denominator)) for m, c in t]
+                    for t in terms])
+    return out
 
 
 _SAMPLES = 5  # sample points generic_rank tries before the module rank
@@ -183,29 +157,29 @@ def _sample_points(seed, nvars):
                  for _ in range(_SAMPLES))
 
 
-def generic_rank(matrix, seed=0, module=None):
-    """Rank over Q(x): the exact maximal rank of the matrix at real points.
+def generic_rank(columns, seed=0, module=None):
+    """Rank over Q(x): the exact maximal rank, at real points, of the matrix
+    whose j-th column is the j-th field.
 
     The matrix is scaled to integer coefficients once, column by column, and
     evaluated at _SAMPLES random integer points, drawn once per seed and
     variable count.  A point of rank min(n, m) proves that rank.  Otherwise
     the rank is read off a Groebner basis of the column module.  A caller
-    that already holds a PolySubmodule spanned by exactly the matrix columns
-    (a chain depth's module) passes it as module, and its cached basis is
+    that already holds a PolySubmodule spanned by exactly these columns (a
+    chain depth's module) passes it as module, and its cached basis is
     used.  The sampling is kept because the generic test asks at every depth
     up to the first of full rank, and that depth's module basis is one the
     index search never needs: reading the module rank at every depth made
     the 400-system sweep 7x slower (1.2 s against 0.17 s, 2 vCPUs).
     """
-    n, m = matrix.nrows, matrix.ncols
-    cap = min(n, m)
-    entries = _integer_entries(matrix)
-    for point in _sample_points(seed, len(matrix.vars)):
+    columns, n = _shape(columns)
+    cap = min(n, len(columns))
+    entries = _integer_entries(columns)
+    for point in _sample_points(seed, len(columns[0].vars)):
+        # the rank of the transpose, evaluated column by column, is the rank
         if rational_rank([[sum(c * prod(map(pow, point, mono)) for mono, c in e)
-                           for e in row] for row in entries]) == cap:
+                           for e in col] for col in entries]) == cap:
             return cap
     if module is None:
-        columns = [VectorField(matrix.column(j), label)
-                   for j, label in enumerate(matrix.labels)]
-        module = PolySubmodule(matrix.vars, n, columns)
+        module = PolySubmodule(columns[0].vars, n, columns)
     return module.rank()

@@ -13,7 +13,6 @@ from polyaccess import (
     Unsupported,
     VarTable,
     VectorField,
-    build_matrix,
     closure_singular_analysis,
     exact_index_analysis,
     ideal_sum,
@@ -192,7 +191,7 @@ def test_criterion_06_pendulum_rank_locus():
     for X in system.operators():
         for column in chain.columns:
             assert chain.module.member(lie_bracket(X, column))
-    I4 = minor_ideal(build_matrix(chain.columns), 4)
+    I4 = minor_ideal(chain.columns, 4)
     # pinned counts: an enumeration that drops or repeats minors fails here
     # even when the radical below still matches
     assert len(I4.gens) == 360

@@ -12,7 +12,6 @@ from polyaccess import (
     VarTable,
     VectorField,
     bound_analysis,
-    build_matrix,
     closure_singular_analysis,
     exact_index_analysis,
     generic_test,
@@ -278,7 +277,7 @@ class TestBound:
         g2 = sys_.inputs[1]
         for depth in range(chain.r_hat + 1):
             cols = chain.columns_at(depth)
-            with_g2 = build_matrix(cols[:2] + (g2,) + cols[2:])
+            with_g2 = cols[:2] + (g2,) + cols[2:]
             for size in (1, 2):
                 assert minor_ideal(with_g2, size).equals(
                     session.minors("accessibility", depth, size))
@@ -464,6 +463,26 @@ class TestSampleCheck:
         assert session.limit_matrix("accessibility") is None
         with pytest.raises(ValueError):
             sample_check(report, session.limit_matrix("accessibility"))
+
+    def test_requires_singular_ideal(self):
+        """An undecided index has no singular ideal, so no generator to test:
+        circle3d's index search without the closure cannot be sampled."""
+        session = AnalysisSession(load("circle3d").system)
+        report = session.index("accessibility", auto_route=False)
+        assert report.index_kind == "undecided" and report.singular_ideal is None
+        with pytest.raises(ValueError):
+            sample_check(report, session.limit_matrix("accessibility"), trials=20)
+
+    def test_nowhere_accessible_samples(self):
+        """A nowhere-accessible report carries the zero ideal: every point is
+        on its variety and drops rank, so sampling finds no mismatch."""
+        zero = VectorField([Polynomial.zero(V2)] * 2, "f")
+        system = SystemSpec(V2, zero, [vf(("x2", "0"), "g1"), vf(("x1*x2", "0"), "g2")])
+        session = AnalysisSession(system)
+        report = session.index("accessibility")
+        assert report.verdict == "nowhere accessible"
+        diag = sample_check(report, session.limit_matrix("accessibility"), trials=20)
+        assert diag == (20, 20, ())
 
 
 class TestPlanarBound:

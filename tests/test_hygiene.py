@@ -1,9 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and the package's __all__ names only what it defines."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import polyaccess
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyaccess"
 
@@ -40,3 +43,12 @@ def test_checker_flags_a_leftover():
               "__all__ = ['Polynomial']\n"
               "heapq.heapify([])\n")
     assert unused_imports(ast.parse(source)) == ["NamedTuple"]
+
+
+def test_all_is_sorted_unique_and_resolves():
+    """Every name in __all__ is an attribute of the package, listed once and
+    in sorted order, so `from polyaccess import *` cannot meet a stale one."""
+    names = polyaccess.__all__
+    assert [n for n in names if not hasattr(polyaccess, n)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)

@@ -480,6 +480,15 @@ class TestRadicals:
         assert in_radical(p("x1*x2"), ideal(("x1^2*x2^4",)))
         assert not in_radical(p("x1 + x2"), ideal(("x1^2",)))
 
+    def test_zero_inputs(self):
+        """Zero lies in every radical, and the zero ideal is its own
+        restricted real radical."""
+        assert in_radical(p("0"), ideal(("x1^2 + 1",)))
+        zero = Ideal(V2, ())
+        r = real_radical_restricted(zero)
+        assert r.groebner_basis() == ()
+        assert r.equals(zero)
+
     def test_radical_monomial(self):
         """Monomial radicals drop exponents to 1."""
         r = real_radical_restricted(ideal(("x1^2*x2", "x2^3")))

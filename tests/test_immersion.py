@@ -13,7 +13,6 @@ from polyaccess import (
     SystemSpec,
     VarTable,
     VectorField,
-    build_matrix,
     derive_immersed,
     lie_bracket,
     lie_derivative,
@@ -26,7 +25,7 @@ from polyaccess import (
     vanishing_coordinates,
     verify_immersion,
 )
-from polyaccess.immersion import jacobian, pushforward
+from polyaccess.immersion import _image_points, jacobian, pushforward
 from polyaccess.rationals import Q
 
 
@@ -230,7 +229,7 @@ class TestPullBack:
         imm = derive_immersed(asys)
         chain = stabilize_chain(imm.system)
         assert chain.r_hat == 1
-        I = minor_ideal(build_matrix(chain.columns), 3)
+        I = minor_ideal(chain.columns, 3)
         assert I.equals(Ideal(imm.system.vars, [p("z4^2 + z5^2", imm.system.vars)]))
         rad = real_radical_restricted(I)
         assert [str(g) for g in rad.groebner_basis()] == ["z4", "z5"]
@@ -259,6 +258,17 @@ class TestPullBack:
         pull = pull_back_singular(imm, singular)
         assert pull.empty
         assert pull.grade == "algebraic proof"
+
+    def test_reciprocal_pole_skipped(self):
+        """An image point needs z2 = 1/x1, so a draw with x1 = 0 yields no
+        point: the structured draws (every source value 0) and the random
+        ones at x1 = 0 are dropped, and every returned point has z2*x1 = 1."""
+        src, tgt = VarTable(("x1",)), VarTable(("z1", "z2"))
+        imap = ImmersionMap(src, tgt, [Entry("coordinate", 0),
+                                       Entry("reciprocal", expr=p("z1", tgt))])
+        points = _image_points(imap, 60, 0)
+        assert 0 < len(points) < 60 - 8
+        assert all(x1 != 0 and z2 * x1 == 1 for x1, z2 in points)
 
     def test_sampled_emptiness(self):
         """Without a proof the verdict downgrades to sampling evidence."""

@@ -18,7 +18,6 @@ from polyaccess import (
     SystemSpec,
     VarTable,
     VectorField,
-    build_matrix,
     generic_rank,
     minor_ideal,
     parse_polynomial,
@@ -77,7 +76,7 @@ class TestDeterminant:
                             V2, [(Q(rng.randint(-3, 3)), tuple(mono))]))
                     rows.append(row)
                 cols = [VectorField([row[j] for row in rows], f"c{j}") for j in range(size)]
-                ours = minor_ideal(build_matrix(cols), size).gens
+                ours = minor_ideal(cols, size).gens
                 mat = sympy.Matrix(
                     [[sympy.sympify(str(e).replace("^", "**")) for e in row]
                      for row in rows])
@@ -146,7 +145,7 @@ class TestMinorIdeal:
         n, m = len(rows), len(rows[0])
         cols = [VectorField([Polynomial(V2, {mo: Q(c) for mo, c in rows[i][j].items()})
                              for i in range(n)], f"c{j}") for j in range(m)]
-        gens = minor_ideal(build_matrix(cols), size).gens
+        gens = minor_ideal(cols, size).gens
         ours = {frozenset(g.coeffs.items()) for g in gens}
         assert len(ours) == len(gens)
         assert all(g.lt()[0] == 1 for g in gens)
@@ -166,21 +165,33 @@ class TestMinorIdeal:
 
     def test_planar_top_minors(self):
         """2x2 minors of the planar depth-1 matrix."""
-        M = build_matrix(planar_columns()[:2])
+        M = planar_columns()[:2]
         I = minor_ideal(M, 2)
         assert I.equals(Ideal(V2, [p("x1^2*x2")]))
 
     def test_size_one(self):
         """1x1 minors are the entries."""
-        M = build_matrix(planar_columns()[:1])
+        M = planar_columns()[:1]
         I = minor_ideal(M, 1)
         assert I.equals(Ideal(V2, [p("x2")]))
 
     def test_oversized_rejected(self):
         """Minor sizes beyond the matrix shape are errors."""
-        M = build_matrix(planar_columns()[:1])
+        M = planar_columns()[:1]
         with pytest.raises(ValueError):
             minor_ideal(M, 3)
+
+    def test_columns_must_share_a_space(self):
+        """No columns, or columns of different lengths or variable tables,
+        make no matrix: minors and generic rank both refuse them."""
+        V3 = VarTable(("x1", "x2", "x3"))
+        bad = ([], [vf(("x1", "x2"), "a"), vf(("x1",), "b")],
+               [vf(("x1", "x2"), "a"), vf(("x1", "x2"), "b", V3)])
+        for cols in bad:
+            with pytest.raises(ValueError):
+                minor_ideal(cols, 1)
+            with pytest.raises(ValueError):
+                generic_rank(cols)
 
 
 def raw_family(session, mode, depth):
@@ -209,8 +220,8 @@ class TestReduceColumns:
         """A bracket in the span of the columns so far is not a column."""
         session = AnalysisSession(chain_systems()[0])
         raw = raw_family(session, "accessibility", 2)
-        cols = session.matrix("accessibility", 2).labels
-        assert [v.label for v in raw] == list(cols) + ["[g2,[g1,g2]]"]
+        cols = [c.label for c in session.matrix("accessibility", 2)]
+        assert [v.label for v in raw] == cols + ["[g2,[g1,g2]]"]
         assert session.chain("accessibility").r_hat == 2
         assert session.chain("accessibility").module.member(raw[-1])
 
@@ -221,11 +232,12 @@ class TestReduceColumns:
             for mode in ("accessibility", "strong"):
                 session = AnalysisSession(system)
                 for depth in range(session.chain(mode).r_hat + 2):
-                    M0 = build_matrix(raw_family(session, mode, depth))
+                    M0 = raw_family(session, mode, depth)
                     M1 = session.matrix(mode, depth)
                     for _ in range(8):
                         pt = [Q(rng.randint(-6, 6)) for _ in range(2)]
-                        assert rational_rank(M0.evaluate(pt)) == rational_rank(M1.evaluate(pt))
+                        assert (rational_rank([c.evaluate(pt) for c in M0])
+                                == rational_rank([c.evaluate(pt) for c in M1]))
 
     def test_minor_ideals_preserved(self):
         """Chain columns and raw family have equal minor ideals of each size."""
@@ -233,21 +245,21 @@ class TestReduceColumns:
             for mode in ("accessibility", "strong"):
                 session = AnalysisSession(system)
                 for depth in range(session.chain(mode).r_hat + 2):
-                    raw = build_matrix(raw_family(session, mode, depth))
-                    for size in range(1, min(2, raw.ncols) + 1):
+                    raw = raw_family(session, mode, depth)
+                    for size in range(1, min(2, len(raw)) + 1):
                         assert minor_ideal(raw, size).equals(session.minors(mode, depth, size))
 
 
 class TestGenericRank:
     def test_full_rank_certified(self):
         """Generic rank of the planar matrix is 2."""
-        assert generic_rank(build_matrix(planar_columns())) == 2
+        assert generic_rank(planar_columns()) == 2
 
     def test_degenerate_matrix(self):
         """A rank-1 column set is certified at 1 despite sampling."""
         cols = [vf(("x1", "x2"), "v"), vf(("2*x1", "2*x2"), "w"),
                 vf(("x1^2", "x1*x2"), "u")]
-        assert generic_rank(build_matrix(cols)) == 1
+        assert generic_rank(cols) == 1
 
     @settings(max_examples=60)
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
@@ -267,17 +279,16 @@ class TestGenericRank:
                 f = random_poly(rng, max_deg=1)
                 comps = [c + f * e for c, e in zip(comps, b)]
             cols.append(VectorField(comps, f"c{j}"))
-        M = build_matrix(cols)
 
         def some_minor_nonzero(r):
-            return r == 0 or bool(minor_ideal(M, r).gens)
+            return r == 0 or bool(minor_ideal(cols, r).gens)
 
         r = min(n, m)
         while not some_minor_nonzero(r):
             r -= 1
-        assert generic_rank(M) == r
+        assert generic_rank(cols) == r
         # no samples: the rank comes from the column module alone
-        assert PolySubmodule(M.vars, n, cols).rank() == r
+        assert PolySubmodule(V2, n, cols).rank() == r
 
     @pytest.mark.parametrize("columns", [
         (("x1/2", "1/3"), ("x2/5", "-x1*x2/7")),
@@ -290,21 +301,21 @@ class TestGenericRank:
         seeds 0-20: full size as soon as a point reaches it, else the
         certified rank of the column module."""
         cols = [vf(texts, f"c{j}") for j, texts in enumerate(columns)]
-        M = build_matrix(cols)
-        cap = min(M.nrows, M.ncols)
-        certified = PolySubmodule(M.vars, M.nrows, cols).rank()
+        n = len(cols[0])
+        cap = min(n, len(cols))
+        certified = PolySubmodule(V2, n, cols).rank()
         for seed in range(21):
             rng = random.Random(seed)
             best = 0
             for _ in range(5):
-                point = tuple(Q(rng.randint(-1000, 1000)) for _ in M.vars)
+                point = tuple(Q(rng.randint(-1000, 1000)) for _ in V2)
                 best = max(best, sympy.Matrix([[sympy.Rational(str(v)) for v in row]
-                                               for row in M.evaluate(point)]).rank())
+                                               for row in (c.evaluate(point) for c in cols)]).rank())
                 if best == cap:
                     break
-            assert generic_rank(M, seed=seed) == (cap if best == cap else certified)
+            assert generic_rank(cols, seed=seed) == (cap if best == cap else certified)
 
     def test_seed_stability(self):
         """The certified rank does not depend on the seed."""
-        M = build_matrix(planar_columns())
+        M = planar_columns()
         assert generic_rank(M, seed=0) == generic_rank(M, seed=99)

@@ -370,6 +370,15 @@ class TestGcdOracle:
         expected = sympy.sqf_part(to_sympy(a, syms), *syms)
         assert squarefree_part(a) == from_sympy(expected, V, syms).monic()
 
+    def test_constant_and_zero_inputs(self):
+        """A nonzero constant's squarefree part is 1, zero has none, and the
+        gcd of zero and q is q made monic."""
+        assert squarefree_part(p("-3/2")) == p("1")
+        with pytest.raises(ValueError):
+            squarefree_part(p("0"))
+        q = p("2*x1*x2 - 4*x3")
+        assert poly_gcd(p("0"), q) == q.monic() == p("x1*x2 - 2*x3")
+
     def test_vanished_leading_coefficient(self):
         """The x1-leading coefficient x2 - t of f vanishes at x2 = t, the
         certificate line's point for x2, where f's image is constant: f and

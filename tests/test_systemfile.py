@@ -5,9 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from polyaccess import ParseError, Polynomial, parse_file, render_file, verify_immersion
+from polyaccess import (
+    Ideal,
+    ParseError,
+    Polynomial,
+    parse_file,
+    pull_back_singular,
+    render_file,
+    verify_immersion,
+)
 from polyaccess.cli import main
-from polyaccess.immersion import jacobian
+from polyaccess.immersion import _image_points, jacobian
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -289,6 +297,19 @@ class TestImmersionBlock:
         assert (again.system.drift, again.system.inputs) == \
             (parsed.system.drift, parsed.system.inputs)
         assert render_file(again) == rendered
+
+    def test_polynomial_entry_image_points(self):
+        """The pull-back samples the lift's image with the polynomial entry
+        evaluated: every sampled point has z6 = x1^2 + 1, the first of them
+        lies on the singular set z2 = 0, and it is the witness."""
+        parsed = parse_file(POLY_ENTRY, name="poly")
+        points = _image_points(parsed.immersion, 60, 0)
+        assert len(points) == 60
+        assert all(z[5] == z[0] ** 2 + 1 for z in points)
+        tgt = parsed.system.vars
+        pull = pull_back_singular(parsed.immersed, Ideal(tgt, [Polynomial.variable(tgt, 1)]))
+        assert not pull.empty and pull.grade == "sampled"
+        assert pull.witness == points[0]
 
 
 class TestRoundTrip:
